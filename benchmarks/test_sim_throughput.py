@@ -2,9 +2,11 @@
 
 The simulator's value rests on cheap events: `docs/simulation.md` promises
 a kernel that sustains tens of thousands of events per wall-clock second.
-The smoke guard enforces the ≥10k events/sec floor on the standard
-``sim-keyrate`` smoke workload; the full bench prints the throughput
-profile across workloads (clean, demand-loaded, disrupted, adaptive).
+The smoke guards enforce the ≥10k events/sec floor on the standard
+``sim-keyrate`` smoke workload and keep trace recording at ≥0.5× the
+untraced throughput of the same config; the full bench prints the
+throughput profile across workloads (clean, demand-loaded, disrupted,
+adaptive).
 
 Run: ``pytest benchmarks/test_sim_throughput.py -m smoke -s``
 """
@@ -16,6 +18,10 @@ from repro.sim import QuantumNetworkSimulation, SimParams
 
 #: CI floor: the engine must clear this on the smoke workload.
 MIN_EVENTS_PER_SECOND = 10_000
+
+#: Traced throughput as a share of untraced throughput, same config and
+#: process: the determinism audit must not halve the kernel's speed.
+MIN_TRACED_SHARE = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +44,23 @@ def test_engine_clears_10k_events_per_second(config, service):
 
 @pytest.mark.smoke
 def test_trace_recording_overhead_tolerable(config, service):
-    """The determinism audit must not halve throughput."""
-    traced = QuantumNetworkSimulation(
-        config, SimParams(duration_s=30.0, record_trace=True), seed=2,
-        service=service,
-    ).run()
-    assert traced.events_per_second >= MIN_EVENTS_PER_SECOND / 2
+    """The determinism audit must not halve throughput.
+
+    Traced and untraced runs of the same config alternate in this process;
+    each side keeps its best of two, so one noisy run cannot decide.
+    """
+    best = {True: 0.0, False: 0.0}
+    for record_trace in (False, True, False, True):
+        result = QuantumNetworkSimulation(
+            config, SimParams(duration_s=30.0, record_trace=record_trace),
+            seed=2, service=service,
+        ).run()
+        best[record_trace] = max(best[record_trace], result.events_per_second)
+    share = best[True] / best[False]
+    assert share >= MIN_TRACED_SHARE, (
+        f"trace recording costs too much: traced {best[True]:,.0f} events/s "
+        f"is {share:.2f}x untraced {best[False]:,.0f} (< {MIN_TRACED_SHARE}x)"
+    )
 
 
 @pytest.mark.bench

@@ -25,6 +25,18 @@ Runs are reproducible bit for bit given a seed:
   two runs are identical iff their digests match (asserted in
   ``tests/sim/test_engine.py``).
 
+Hot path
+--------
+A heap entry is the tuple ``(time, priority, seq, event)``.  ``seq`` is
+unique, so :mod:`heapq` orders entries in C on exactly the key above and
+never compares two :class:`Event` objects.  A :class:`Process` re-arms
+through the same push as :meth:`Simulator.schedule`, reusing one
+:class:`Event` per process for all of its step events.  The trace is
+columnar (times in an ``array('d')``, tags as shared string references)
+and is folded into the digest in chunks at the end of each
+:meth:`Simulator.run`; SHA-256 is streaming, so the digest equals the
+per-event ``pack("<d", time) + tag.encode()`` formula byte for byte.
+
 See ``docs/simulation.md`` for the event model and a worked example of
 adding a process.
 """
@@ -32,10 +44,11 @@ adding a process.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import struct
 import zlib
+from array import array
+from heapq import heappop, heappush
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,23 +57,45 @@ from repro import faults as _faults
 
 __all__ = ["Event", "Entity", "Process", "RngStreams", "Simulator"]
 
+#: Events folded into the trace digest per ``sha256.update`` call.
+TRACE_HASH_CHUNK = 1 << 16
+
+_pack_time = struct.Struct("<d").pack
+
+
+def _inert() -> None:
+    """Body of events that fire but do nothing (storms, paused processes)."""
+
+
+def _is_nan(value: Any) -> bool:
+    return value != value
+
+
+def _delay_error(delay: Any, tag: str) -> ValueError:
+    if _is_nan(delay):
+        return ValueError(f"delay of event {tag!r} is NaN")
+    return ValueError(f"delay must be non-negative, got {delay} (event {tag!r})")
+
+
+def _time_error(time: Any, now: float, tag: str) -> ValueError:
+    if _is_nan(time):
+        return ValueError(f"cannot schedule event {tag!r} at NaN time")
+    return ValueError(f"cannot schedule at {time} < now={now} (event {tag!r})")
+
 
 class Event:
     """One scheduled callback.
 
     Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at`, never directly.  :meth:`cancel` marks the
-    event dead; the heap skips cancelled events on pop (lazy deletion).
+    :meth:`Simulator.schedule_at`, never directly.  The event's time,
+    priority and sequence number live in its heap entry.  :meth:`cancel`
+    marks the event dead; the run loop skips cancelled events on pop (lazy
+    deletion).
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "tag", "cancelled")
+    __slots__ = ("fn", "tag", "cancelled")
 
-    def __init__(
-        self, time: float, priority: int, seq: int, fn: Callable[[], None], tag: str
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
+    def __init__(self, fn: Callable[[], None], tag: str) -> None:
         self.fn = fn
         self.tag = tag
         self.cancelled = False
@@ -69,16 +104,9 @@ class Event:
         """Mark the event dead; it will be skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6g}, tag={self.tag!r}{state})"
+        return f"Event(tag={self.tag!r}{state})"
 
 
 class RngStreams:
@@ -130,8 +158,13 @@ class Process(Entity):
     Subclasses implement :meth:`next_delay` (seconds until the next step, or
     ``None`` to stop) and :meth:`step` (the action).  :meth:`pause` /
     :meth:`resume` model service interruptions — e.g. a link outage stops an
-    entanglement source — using an epoch token so that events scheduled
-    before the pause become inert instead of firing stale work.
+    entanglement source — so that events scheduled before the pause become
+    inert instead of firing stale work.
+
+    All step events armed between a resume and the next pause share one
+    :class:`Event`, tagged with the process's ``name``.  Pausing swaps its
+    callback for a no-op, so pending step events still fire (and enter the
+    trace) but do nothing; resuming starts a fresh :class:`Event`.
     """
 
     #: Heap priority of the process's own step events (lower fires first
@@ -142,7 +175,7 @@ class Process(Entity):
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self.active = True
-        self._epoch = 0
+        self._event = Event(self._fire, name)
 
     # -- subclass API ---------------------------------------------------------
 
@@ -163,27 +196,25 @@ class Process(Entity):
         """Suspend the process; pending events become inert."""
         if self.active:
             self.active = False
-            self._epoch += 1
+            self._event.fn = _inert
 
     def resume(self) -> None:
         """Reactivate a paused process and schedule its next step."""
         if not self.active:
             self.active = True
-            self._epoch += 1
+            self._event = Event(self._fire, self.name)
             self._arm()
 
     def _arm(self) -> None:
         delay = self.next_delay()
         if delay is None:
             return
-        epoch = self._epoch
-        self.sim.schedule(
-            delay, lambda: self._fire(epoch), priority=self.priority, tag=self.name
-        )
+        if not delay >= 0:  # also rejects NaN
+            raise _delay_error(delay, self.name)
+        sim = self.sim
+        sim._push(sim._now + delay, self.priority, self._event)
 
-    def _fire(self, epoch: int) -> None:
-        if epoch != self._epoch or not self.active:
-            return
+    def _fire(self) -> None:
         self.step()
         self._arm()
 
@@ -208,13 +239,17 @@ class Simulator:
         self.seed = int(seed)
         self.streams = RngStreams(seed)
         self._now = float(start_time)
-        self._heap: List[Event] = []
-        self._seq = itertools.count()
+        #: entries ``(time, priority, seq, event)``; see the module docstring
+        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._seq = 0
         self._entities: List[Entity] = []
         self._started = 0  # entities already start()ed
         self.events_processed = 0
-        self.events_scheduled = 0
-        self._trace: Optional[List[Tuple[float, str]]] = [] if record_trace else None
+        # Columnar trace: processed-event times and tags, plus how many of
+        # them the digest already covers.
+        self._trace_times: Optional[array] = array("d") if record_trace else None
+        self._trace_tags: List[str] = []
+        self._trace_hashed = 0
         self._trace_hash = hashlib.sha256() if record_trace else None
 
     # -- clock & randomness ---------------------------------------------------
@@ -223,6 +258,11 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
+
+    @property
+    def events_scheduled(self) -> int:
+        """Events scheduled so far (the next event's ``seq``)."""
+        return self._seq
 
     def stream(self, name: str) -> np.random.Generator:
         """The named deterministic random stream (see :class:`RngStreams`)."""
@@ -242,19 +282,23 @@ class Simulator:
         self, delay: float, fn: Callable[[], None], *, priority: int = 0, tag: str = ""
     ) -> Event:
         """Schedule ``fn`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, fn, priority=priority, tag=tag)
+        if not delay >= 0:  # also rejects NaN
+            raise _delay_error(delay, tag)
+        return self._push(self._now + delay, priority, Event(fn, tag))
 
     def schedule_at(
         self, time: float, fn: Callable[[], None], *, priority: int = 0, tag: str = ""
     ) -> Event:
         """Schedule ``fn`` at absolute simulation time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} < now={self._now}")
-        event = Event(float(time), int(priority), next(self._seq), fn, tag)
-        heapq.heappush(self._heap, event)
-        self.events_scheduled += 1
+        return self._push(time, priority, Event(fn, tag))
+
+    def _push(self, time: float, priority: int, event: Event) -> Event:
+        """The one way onto the heap (``schedule*`` and process re-arms)."""
+        if not time >= self._now:  # also rejects NaN
+            raise _time_error(time, self._now, event.tag)
+        entry = (float(time), int(priority), self._seq, event)
+        self._seq += 1
+        heappush(self._heap, entry)
         return event
 
     # -- execution ------------------------------------------------------------
@@ -263,9 +307,14 @@ class Simulator:
         """Process every event with ``time <= until``; returns the count.
 
         The clock finishes exactly at ``until`` (even if the last event was
-        earlier), so periodic monitors see a full final interval.
+        earlier), so periodic monitors see a full final interval.  If a
+        handler raises, the exception propagates with the clock at that
+        event's time, and the counters and trace cover every event fired up
+        to and including it.
         """
-        if until < self._now:
+        if not until >= self._now:
+            if _is_nan(until):
+                raise ValueError("cannot run to a NaN horizon")
             raise ValueError(f"cannot run to {until} < now={self._now}")
         self._inject_storm(until)
         while self._started < len(self._entities):
@@ -273,22 +322,29 @@ class Simulator:
             self._started += 1
             entity.start()
         heap = self._heap
-        before = self.events_processed
-        trace = self._trace
-        trace_hash = self._trace_hash
-        while heap and heap[0].time <= until:
-            event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self.events_processed += 1
-            if trace is not None:
-                trace.append((event.time, event.tag))
-                trace_hash.update(struct.pack("<d", event.time))
-                trace_hash.update(event.tag.encode("utf-8"))
-            event.fn()
+        pop = heappop
+        tracing = self._trace_times is not None
+        if tracing:
+            log_time = self._trace_times.append
+            log_tag = self._trace_tags.append
+        processed = 0
+        try:
+            while heap and heap[0][0] <= until:
+                time, _, _, event = pop(heap)
+                if event.cancelled:
+                    continue
+                self._now = time
+                processed += 1
+                if tracing:
+                    log_time(time)
+                    log_tag(event.tag)
+                event.fn()
+        finally:
+            self.events_processed += processed
+            if tracing:
+                self._hash_trace()
         self._now = float(until)
-        return self.events_processed - before
+        return processed
 
     def _inject_storm(self, until: float) -> None:
         """The ``sim.storm`` fault seam: a deterministic no-op event burst.
@@ -308,19 +364,35 @@ class Simulator:
         offsets = np.sort(self.stream("faults.storm").random(rule.count))
         for offset in offsets:
             self.schedule_at(
-                self._now + float(offset) * span,
-                lambda: None,
-                tag="fault.storm",
+                self._now + float(offset) * span, _inert, tag="fault.storm"
             )
 
     # -- audit ----------------------------------------------------------------
 
+    def _hash_trace(self) -> None:
+        """Fold the trace entries not yet hashed into the digest.
+
+        Each entry contributes ``pack("<d", time) + tag.encode("utf-8")``,
+        in trace order; hashing them a chunk at a time gives the same
+        SHA-256 as hashing them one by one.
+        """
+        times, tags = self._trace_times, self._trace_tags
+        end = len(times)
+        for lo in range(self._trace_hashed, end, TRACE_HASH_CHUNK):
+            hi = min(lo + TRACE_HASH_CHUNK, end)
+            chunk = tags[lo:hi]
+            encoded = {tag: tag.encode("utf-8") for tag in set(chunk)}
+            self._trace_hash.update(b"".join(chain.from_iterable(zip(
+                map(_pack_time, times[lo:hi]), map(encoded.__getitem__, chunk)
+            ))))
+        self._trace_hashed = end
+
     @property
     def trace(self) -> List[Tuple[float, str]]:
         """``(time, tag)`` pairs of processed events (``record_trace`` only)."""
-        if self._trace is None:
+        if self._trace_times is None:
             raise RuntimeError("trace recording is off; pass record_trace=True")
-        return list(self._trace)
+        return list(zip(self._trace_times, self._trace_tags))
 
     def trace_digest(self) -> str:
         """SHA-256 over the processed-event trace; '' when tracing is off.
@@ -330,6 +402,7 @@ class Simulator:
         """
         if self._trace_hash is None:
             return ""
+        self._hash_trace()
         return self._trace_hash.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,8 +1,20 @@
 """The discrete-event kernel: ordering, processes, RNG streams."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.sim.engine import Process, RngStreams, Simulator
+
+
+def reference_digest(trace):
+    """The trace digest formula: per event, the packed time then the tag."""
+    digest = hashlib.sha256()
+    for time, tag in trace:
+        digest.update(struct.pack("<d", time))
+        digest.update(tag.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class TestScheduling:
@@ -82,6 +94,111 @@ class TestScheduling:
         sim.run(until=5.0)
         with pytest.raises(ValueError, match="cannot run"):
             sim.run(until=3.0)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteTimes:
+    def test_nan_delay_rejected_and_order_kept(self):
+        sim = Simulator()
+        fired = []
+        for delay in (3.0, NAN, 1.0, 2.0, 0.5):
+            def fire(d=delay):
+                fired.append(d)
+            if delay != delay:
+                with pytest.raises(ValueError, match="'probe'.*NaN"):
+                    sim.schedule(delay, fire, tag="probe")
+            else:
+                sim.schedule(delay, fire, tag=f"t{delay}")
+        sim.run(until=10.0)
+        assert fired == [0.5, 1.0, 2.0, 3.0]
+        assert sim.events_scheduled == 4
+
+    def test_nan_time_rejected_by_schedule_at(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="'probe'.*NaN"):
+            sim.schedule_at(NAN, lambda: None, tag="probe")
+        assert sim.events_scheduled == 0
+
+    def test_nan_delay_from_a_process_names_it(self):
+        class Broken(_Ticker):
+            def next_delay(self):
+                return NAN if self.steps else 1.0
+
+        sim = Simulator()
+        sim.add(Broken(name="gen.link7"))
+        with pytest.raises(ValueError, match="'gen.link7'.*NaN"):
+            sim.run(until=5.0)
+
+    def test_negative_delay_from_a_process_rejected(self):
+        sim = Simulator()
+        sim.add(_Ticker(name="backwards", interval=-1.0))
+        with pytest.raises(ValueError, match="non-negative.*'backwards'"):
+            sim.run(until=5.0)
+
+    def test_nan_horizon_rejected_and_clock_kept(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=NAN)
+        assert sim.now == 2.0
+
+    def test_infinite_time_allowed_but_never_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(INF, lambda: fired.append("delay"))
+        sim.schedule_at(INF, lambda: fired.append("at"))
+        sim.schedule(1.0, lambda: fired.append("finite"))
+        sim.run(until=1e12)
+        assert fired == ["finite"]
+        assert sim.events_scheduled == 3
+
+
+class TestHandlerRaisesMidRun:
+    def _sim(self):
+        sim = Simulator(record_trace=True)
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            raise RuntimeError("handler failed")
+
+        sim.schedule(1.0, lambda: fired.append("a"), tag="a")
+        sim.schedule(2.0, lambda: fired.append("b"), tag="b")
+        sim.schedule(3.0, boom, tag="boom")
+        sim.schedule(4.0, lambda: fired.append("d"), tag="d")
+        return sim, fired
+
+    def test_state_covers_events_up_to_the_raising_one(self):
+        sim, fired = self._sim()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run(until=10.0)
+        expected = [(1.0, "a"), (2.0, "b"), (3.0, "boom")]
+        assert fired == ["a", "b", "boom"]
+        assert sim.events_processed == 3
+        assert sim.now == 3.0
+        assert sim.trace == expected
+        assert sim.trace_digest() == reference_digest(expected)
+
+    def test_later_run_continues_consistently(self):
+        sim, fired = self._sim()
+        with pytest.raises(RuntimeError):
+            sim.run(until=10.0)
+        assert sim.run(until=10.0) == 1
+        expected = [(1.0, "a"), (2.0, "b"), (3.0, "boom"), (4.0, "d")]
+        assert fired == ["a", "b", "boom", "d"]
+        assert sim.events_processed == 4
+        assert sim.now == 10.0
+        assert sim.trace == expected
+        assert sim.trace_digest() == reference_digest(expected)
+        # ... and ends where an uninterrupted run of the same events ends.
+        clean = Simulator(record_trace=True)
+        for time, tag in expected:
+            clean.schedule(time, lambda: None, tag=tag)
+        clean.run(until=10.0)
+        assert clean.trace_digest() == sim.trace_digest()
 
 
 class _Ticker(Process):
@@ -189,7 +306,7 @@ class TestTrace:
         sim.schedule(2.0, lambda: None, tag="two")
         sim.run(until=5.0)
         assert sim.trace == [(1.0, "one"), (2.0, "two")]
-        assert len(sim.trace_digest()) == 64
+        assert sim.trace_digest() == reference_digest(sim.trace)
 
     def test_trace_off_by_default(self):
         sim = Simulator()
