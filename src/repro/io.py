@@ -692,6 +692,7 @@ def _register_builtin_codecs() -> None:
             "runtime_s": float(r.runtime_s),
             "history": _floats(r.history),
             "transform_gap": _floats(r.transform_gap),
+            "converged": bool(r.converged),
         },
         lambda d: Stage3Result(
             p=np.asarray(d["p"], dtype=float),
@@ -704,6 +705,8 @@ def _register_builtin_codecs() -> None:
             runtime_s=d["runtime_s"],
             history=list(d["history"]),
             transform_gap=list(d["transform_gap"]),
+            # Absent in artifacts written before the field was encoded.
+            converged=d.get("converged", True),
         ),
     )
     register_codec(

@@ -1,6 +1,8 @@
 """Tests for JSON serialization of allocations and metrics."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from repro.io import (
     save_allocation,
     save_result,
 )
+from repro.serve.cache import SqliteResultCache
+
+CORPUS = Path(__file__).resolve().parent / "golden_codecs"
 
 
 class TestAllocationRoundtrip:
@@ -134,3 +139,43 @@ class TestValidation:
         path.write_text("{}")
         with pytest.raises(ValueError, match="no 'allocation'"):
             load_allocation(path)
+
+
+def _unconverged_stage3(result):
+    return dataclasses.replace(
+        result, stage3=dataclasses.replace(result.stage3, converged=False)
+    )
+
+
+class TestStage3Converged:
+    """A Stage 3 the batched IPM marked non-converged stays non-converged
+    through every JSON path (the npz path keeps it in ``s3_converged``)."""
+
+    def test_dict_round_trip(self, quhe_result):
+        payload = result_to_dict(_unconverged_stage3(quhe_result))
+        restored = result_from_dict(json.loads(json.dumps(payload)))
+        assert restored.stage3.converged is False
+
+    def test_file_round_trip(self, quhe_result, tmp_path):
+        path = save_result(_unconverged_stage3(quhe_result), tmp_path / "r.json")
+        assert load_result(path).stage3.converged is False
+
+    def test_sqlite_cache_round_trip(self, quhe_result, tmp_path):
+        cache = SqliteResultCache(str(tmp_path / "results.db"))
+        cache.put("k", _unconverged_stage3(quhe_result))
+        assert cache.get("k").stage3.converged is False
+
+    def test_payload_without_the_field_decodes_converged(self):
+        payload = json.loads((CORPUS / "stage3_result.json").read_text())
+        del payload["converged"]
+        assert result_from_dict(payload).converged is True
+
+    def test_earlier_cache_row_decodes_as_before(self, tmp_path):
+        """A cache row written before the field was encoded decodes to the
+        same result, with ``stage3.converged`` read as True."""
+        current = json.loads((CORPUS / "quhe_result.json").read_text())
+        earlier = json.loads(json.dumps(current))
+        del earlier["stage3"]["converged"]
+        cache = SqliteResultCache(str(tmp_path / "results.db"))
+        cache.put_payload("k", earlier)
+        assert result_to_dict(cache.get("k")) == current
