@@ -63,13 +63,13 @@ class CampaignResult:
     backend: str
     cells_total: int
     cells_completed: int
-    points: List[GridPointAggregate] = field(default_factory=list)
     #: cells quarantined after exhausting their retry budget — reported as a
     #: hole in the study, never silently dropped
     cells_failed: int = 0
     #: quarantined cell ids, manifest order (artifact dirs under
     #: ``cells_failed/<cell_id>/`` hold each one's exception chain)
     failed_cell_ids: List[str] = field(default_factory=list)
+    points: List[GridPointAggregate] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:

@@ -31,6 +31,7 @@ from repro.core.baselines import (
 from repro.core.config import SystemConfig
 from repro.core.quhe import QuHE, QuHEResult
 from repro.core.stage1 import Stage1Result
+from repro.experiments.tables import Stage1MethodComparison, run_stage1_methods
 from repro.utils.tables import format_table
 
 METHOD_ORDER = ("AA", "OLAA", "OCCR", "QuHE")
@@ -97,7 +98,7 @@ class Fig5Bundle:
     """
 
     stage_calls: StageCallReport
-    stage1_methods: "Stage1MethodComparison"
+    stage1_methods: Stage1MethodComparison
     methods: MethodComparison
 
     def render(self) -> str:
@@ -132,8 +133,6 @@ def run_fig5_bundle(
     rs_num_samples: int = 10_000,
 ) -> Fig5Bundle:
     """Run every Fig.-5 panel: stage calls, Stage-1 methods, method bars."""
-    from repro.experiments.tables import run_stage1_methods
-
     return Fig5Bundle(
         stage_calls=run_stage_call_report(config),
         stage1_methods=run_stage1_methods(

@@ -19,19 +19,25 @@ Two layers:
       payload = result_to_dict(QuHE(cfg).solve())
       restored = result_from_dict(payload)        # a QuHEResult again
 
-  New scenario result types plug in with :func:`register_codec`.
+  A result dataclass is its own schema: ``register_codec("my_result",
+  MyResult)`` derives the codec from its fields and type hints, and the
+  few wire-format departures sit in one table here.  Only formats the
+  fields do not describe (allocation, metrics, the columnar batches, the
+  fault plan, the serve wire messages) keep hand-written codecs.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import tempfile
+import typing
 import zipfile
-from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Type, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -45,7 +51,14 @@ PathLike = Union[str, Path]
 
 
 def atomic_write_text(path: PathLike, text: str) -> Path:
-    """Durably write ``text`` to ``path``: tmp + flush + fsync + ``os.replace``.
+    """Durably write ``text`` to ``path`` as UTF-8 (see :func:`atomic_write_bytes`)."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(
+    path: PathLike, data: bytes, *, fault_seam: str | None = "artifact.write"
+) -> Path:
+    """Durably write ``data`` to ``path``: tmp + flush + fsync + ``os.replace``.
 
     The temp file lives in the target's directory so the final rename is a
     same-filesystem atomic replace — a reader never observes a partial file,
@@ -56,38 +69,6 @@ def atomic_write_text(path: PathLike, text: str) -> Path:
     leaves a corrupt file at ``path`` (bypassing the atomic dance, the way a
     legacy non-atomic writer would after a crash) and raises
     :class:`~repro.errors.TransientIOError` so hardened callers retry.
-    """
-    target = Path(path)
-    rule = _faults.fire("artifact.write")
-    if rule is not None and rule.kind in ("torn_write", "truncate"):
-        torn = "" if rule.kind == "truncate" else text[: max(1, len(text) // 2)]
-        target.write_text(torn)
-        raise TransientIOError(
-            f"injected {rule.kind} while writing {target}"
-        )
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(target.parent), prefix=f".{target.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return target
-
-
-def atomic_write_bytes(
-    path: PathLike, data: bytes, *, fault_seam: str | None = "artifact.write"
-) -> Path:
-    """Binary sibling of :func:`atomic_write_text` (same ``artifact.write``
-    fault seam, same tmp + fsync + ``os.replace`` dance).
 
     ``fault_seam=None`` opts the write out of fault injection *and* of the
     seam's deterministic RNG stream.  Rebuildable caches (the campaign's
@@ -148,20 +129,20 @@ def allocation_from_dict(data: Dict) -> Allocation:
         raise ValueError(
             f"unsupported format version {version!r} (supported: {FORMAT_VERSION})"
         )
-    required = ("phi", "w", "lam", "p", "b", "f_c", "f_s")
-    missing = [key for key in required if key not in data]
+    arrays = ("phi", "w", "lam", "p", "b", "f_c", "f_s")
+    missing = [key for key in arrays if key not in data]
     if missing:
         raise ValueError(f"allocation payload missing fields: {missing}")
     return Allocation(
-        phi=np.asarray(data["phi"], dtype=float),
-        w=np.asarray(data["w"], dtype=float),
-        lam=np.asarray(data["lam"], dtype=float),
-        p=np.asarray(data["p"], dtype=float),
-        b=np.asarray(data["b"], dtype=float),
-        f_c=np.asarray(data["f_c"], dtype=float),
-        f_s=np.asarray(data["f_s"], dtype=float),
+        **{key: np.asarray(data[key], dtype=float) for key in arrays},
         T=data.get("T"),
     )
+
+
+#: Per-client metric arrays, nested under ``per_node`` in the payload.
+_PER_NODE = (
+    "enc_delay", "tr_delay", "cmp_delay", "enc_energy", "tr_energy", "cmp_energy",
+)
 
 
 def metrics_to_dict(metrics: Metrics) -> Dict:
@@ -174,14 +155,7 @@ def metrics_to_dict(metrics: Metrics) -> Dict:
         "total_delay_s": metrics.total_delay,
         "total_energy_j": metrics.total_energy,
         "objective": metrics.objective,
-        "per_node": {
-            "enc_delay": metrics.enc_delay.tolist(),
-            "tr_delay": metrics.tr_delay.tolist(),
-            "cmp_delay": metrics.cmp_delay.tolist(),
-            "enc_energy": metrics.enc_energy.tolist(),
-            "tr_energy": metrics.tr_energy.tolist(),
-            "cmp_energy": metrics.cmp_energy.tolist(),
-        },
+        "per_node": {key: getattr(metrics, key).tolist() for key in _PER_NODE},
     }
 
 
@@ -191,12 +165,7 @@ def metrics_from_dict(data: Dict) -> Metrics:
     return Metrics(
         u_qkd=float(data["u_qkd"]),
         u_msl=float(data["u_msl"]),
-        enc_delay=np.asarray(per_node["enc_delay"], dtype=float),
-        tr_delay=np.asarray(per_node["tr_delay"], dtype=float),
-        cmp_delay=np.asarray(per_node["cmp_delay"], dtype=float),
-        enc_energy=np.asarray(per_node["enc_energy"], dtype=float),
-        tr_energy=np.asarray(per_node["tr_energy"], dtype=float),
-        cmp_energy=np.asarray(per_node["cmp_energy"], dtype=float),
+        **{key: np.asarray(per_node[key], dtype=float) for key in _PER_NODE},
         total_delay=float(data["total_delay_s"]),
         total_energy=float(data["total_energy_j"]),
         objective=float(data["objective"]),
@@ -224,7 +193,7 @@ def load_allocation(path: PathLike) -> Allocation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ResultCodec:
     """Serialization rules for one result type."""
 
@@ -243,35 +212,52 @@ _BUILTINS_REGISTERED = False
 def register_codec(
     kind: str,
     cls: Type,
-    encode: Callable[[Any], Dict],
-    decode: Callable[[Dict], Any],
+    encode: Optional[Callable[[Any], Dict]] = None,
+    decode: Optional[Callable[[Dict], Any]] = None,
     *,
     version: int = 1,
 ) -> ResultCodec:
     """Register a (de)serializer for ``cls`` under the ``kind`` tag.
 
-    ``encode`` returns the body fields only; ``kind`` and ``format_version``
-    are stamped on by :func:`result_to_dict`.  ``decode`` receives the full
-    payload (version already validated) and returns an instance of ``cls``.
-
-    A new result type plugs in with one call (each ``kind`` and each type
-    may be registered once per process):
+    Without ``encode``/``decode`` a dataclass's fields are the schema:
+    ``np.ndarray`` travels as a float list, ``float``/``int``/``bool``/
+    ``str`` are coerced on encode and checked on decode, ``List``,
+    ``Tuple``, ``Dict`` and ``Optional`` recurse, and a nested dataclass
+    travels as its own tagged payload if it has a codec, else as a plain
+    field dict.  A missing field is a ``ValueError`` naming the kind and
+    field path.  Each ``kind`` and each type registers once per process:
 
     >>> from dataclasses import dataclass
     >>> @dataclass
     ... class DemoPoint:
     ...     x: float
-    ...     y: float
-    >>> codec = register_codec(
-    ...     "demo_point", DemoPoint,
-    ...     lambda p: {"x": p.x, "y": p.y},
-    ...     lambda d: DemoPoint(x=d["x"], y=d["y"]))
-    >>> payload = result_to_dict(DemoPoint(1.0, 2.0))
-    >>> payload["kind"], payload["format_version"]
-    ('demo_point', 1)
+    ...     tags: List[str]
+    >>> codec = register_codec("demo_point", DemoPoint)
+    >>> payload = result_to_dict(DemoPoint(x=1, tags=["a"]))
+    >>> payload
+    {'x': 1.0, 'tags': ['a'], 'kind': 'demo_point', 'format_version': 1}
     >>> result_from_dict(payload)
-    DemoPoint(x=1.0, y=2.0)
+    DemoPoint(x=1.0, tags=['a'])
+    >>> result_from_dict({"kind": "demo_point", "format_version": 1, "x": 2.0})
+    Traceback (most recent call last):
+        ...
+    ValueError: demo_point.tags: missing field
+
+    A format the fields do not describe passes both hooks instead:
+    ``encode`` returns the body fields only (``kind`` and
+    ``format_version`` are stamped on by :func:`result_to_dict`), and
+    ``decode`` receives the full payload (version already validated) and
+    returns an instance of ``cls``.
     """
+    if (encode is None) != (decode is None):
+        raise ValueError(f"codec {kind!r}: pass both encode and decode, or neither")
+    if encode is None:
+        if not dataclasses.is_dataclass(cls):
+            raise TypeError(
+                f"codec {kind!r}: {cls.__name__} is not a dataclass; "
+                "pass encode and decode"
+            )
+        encode, decode = _plan(cls).encode, _plan(cls).decode
     if kind in _CODECS_BY_KIND:
         raise ValueError(f"codec kind {kind!r} already registered")
     if cls in _CODECS_BY_TYPE:
@@ -314,6 +300,10 @@ def result_to_dict(obj: Any) -> Dict:
             f"no codec registered for {type(obj).__name__}; "
             f"known kinds: {registered_kinds()}"
         )
+    return _encode(codec, obj)
+
+
+def _encode(codec: ResultCodec, obj: Any) -> Dict:
     payload = codec.encode(obj)
     payload["kind"] = codec.kind
     payload["format_version"] = codec.version
@@ -323,8 +313,8 @@ def result_to_dict(obj: Any) -> Dict:
 def result_from_dict(data: Dict) -> Any:
     """Inverse of :func:`result_to_dict`, dispatching on ``kind``.
 
-    Unknown kinds and version mismatches are explicit errors, never silent
-    misdecodes:
+    Unknown kinds, version mismatches and payloads that do not fit their
+    kind are explicit errors, never silent misdecodes:
 
     >>> result_from_dict({"kind": "no_such_kind"})
     Traceback (most recent call last):
@@ -332,19 +322,41 @@ def result_from_dict(data: Dict) -> Any:
     ValueError: unknown result kind 'no_such_kind'; known kinds: [...]
     """
     _ensure_builtin_codecs()
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"expected a result payload object, got {type(data).__name__}"
+        )
     kind = data.get("kind")
     codec = _CODECS_BY_KIND.get(kind)
     if codec is None:
         raise ValueError(
             f"unknown result kind {kind!r}; known kinds: {registered_kinds()}"
         )
+    try:
+        return _decode(codec, data)
+    except _Malformed as exc:
+        where = f"{kind}{''.join(reversed(exc.path))}: " if exc.path else ""
+        raise ValueError(f"{where}{exc}") from exc.__cause__
+
+
+def _decode(codec: ResultCodec, data: Any) -> Any:
+    """``data`` decoded as a ``codec.kind`` payload (errors: ``_Malformed``)."""
+    if not isinstance(data, dict):
+        raise _not_a(f"a {codec.kind} payload", data)
+    if data.get("kind") != codec.kind:
+        raise _Malformed(f"expected a {codec.kind} payload, "
+                         f"got kind {data.get('kind')!r}")
     version = data.get("format_version")
     if version != codec.version:
-        raise ValueError(
-            f"{kind}: unsupported format version {version!r} "
+        raise _Malformed(
+            f"{codec.kind}: unsupported format version {version!r} "
             f"(supported: {codec.version})"
         )
-    return codec.decode(data)
+    try:
+        return codec.decode(data)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        # hand-written decoders index the payload directly
+        raise _Malformed(f"malformed {codec.kind} payload: {exc!r}") from exc
 
 
 def save_result(obj: Any, path: PathLike) -> Path:
@@ -355,8 +367,9 @@ def save_result(obj: Any, path: PathLike) -> Path:
 def load_result(path: PathLike) -> Any:
     """Read back a result written by :func:`save_result`.
 
-    Corrupt artifacts (truncated JSON, zero-byte files, wrong-kind payloads)
-    raise :class:`~repro.errors.ArtifactError` naming the offending path.
+    Corrupt artifacts (truncated JSON, zero-byte files, wrong-kind or
+    malformed payloads) raise :class:`~repro.errors.ArtifactError` naming
+    the offending path.
     """
     source = Path(path)
     try:
@@ -545,11 +558,203 @@ def load_batch_npz(path: PathLike, *, memmap: bool = True) -> Any:
         ) from exc
 
 
-# -- helpers -----------------------------------------------------------------
+# -- field-driven codecs -------------------------------------------------------
+#
+# A dataclass registered without encode/decode is written field by field, in
+# field order, by a plan compiled from its type hints on first use.  The wire
+# format departs from that derivation only where the tables below say so;
+# those decisions live here, not as codec metadata on the dataclasses.
 
 
-def _floats(values) -> List[float]:
-    return [float(v) for v in values]
+class _IntArray:
+    """Wire type of λ slot counts: a float array held, an int list written."""
+
+
+#: Fields whose wire form is not their annotation, mapped to the annotation
+#: the wire follows (keys are ``<module>.<Class>.<field>``).
+_WIRE_TYPES: Dict[str, Any] = {
+    "repro.core.stage2.Stage2Result.lam": _IntArray,
+    "repro.experiments.ablations.WeightPoint.lam": _IntArray,
+    # The stats hold an int ``count``: coercing by the Dict[str, float]
+    # annotation would rewrite 3 as 3.0 in every campaign aggregate.json.
+    "repro.campaign.result.GridPointAggregate.metrics": Dict[str, Dict[str, Any]],
+}
+
+#: Fields a payload may omit because older artifacts predate them; an absent
+#: one takes its dataclass default.  A default alone never makes a field
+#: optional on the wire.
+_WIRE_OPTIONAL: Dict[str, Tuple[str, ...]] = {
+    "repro.core.quhe.QuHEResult": ("degraded",),
+    "repro.core.stage3.Stage3Result": ("converged",),
+    "repro.campaign.result.CampaignResult": ("cells_failed", "failed_cell_ids"),
+    "repro.sim.result.SimulationResult": (
+        "reroutes", "pairs_flushed", "final_route_links"),
+    "repro.serve.bench.ServeBenchResult": (
+        "workers", "crash_rate", "hang_rate", "retry_enabled",
+        "availability", "worker_restarts"),
+}
+
+#: Registered types nested through their public helper, header first.
+_NESTED_ENCODERS = {Allocation: allocation_to_dict, Metrics: metrics_to_dict}
+
+
+class _Malformed(ValueError):
+    """A payload that does not fit its codec; ``path`` gathers the field
+    names and item keys, innermost first, as the error unwinds."""
+
+    def __init__(self, problem: str) -> None:
+        super().__init__(problem)
+        self.path: List[str] = []
+
+    def at(self, segment: str) -> "_Malformed":
+        self.path.append(segment)
+        return self
+
+
+class _FieldPlan:
+    """Encode/decode of one dataclass, compiled from its fields on first use."""
+
+    def __init__(self, cls: Type) -> None:
+        self.cls = cls
+
+    @functools.cached_property
+    def rules(self) -> List[Tuple[str, Callable, Callable, bool]]:
+        owner = f"{self.cls.__module__}.{self.cls.__qualname__}"
+        hints = typing.get_type_hints(self.cls)
+        optional = _WIRE_OPTIONAL.get(owner, ())
+        return [
+            (f.name,
+             *_converter(_WIRE_TYPES.get(f"{owner}.{f.name}", hints[f.name])),
+             f.name in optional)
+            for f in dataclasses.fields(self.cls) if f.init
+        ]
+
+    def encode(self, obj: Any) -> Dict:
+        return {name: encode(getattr(obj, name))
+                for name, encode, _, _ in self.rules}
+
+    def decode(self, data: Any) -> Any:
+        if not isinstance(data, dict):
+            raise _not_a("an object", data)
+        kwargs = {}
+        for name, _, decode, optional in self.rules:
+            if name in data:
+                try:
+                    kwargs[name] = decode(data[name])
+                except _Malformed as exc:
+                    raise exc.at(f".{name}")
+            elif not optional:
+                raise _Malformed("missing field").at(f".{name}")
+        return self.cls(**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(cls: Type) -> _FieldPlan:
+    return _FieldPlan(cls)
+
+
+def _converter(hint: Any) -> Tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """The (encode, decode) pair for values annotated ``hint``."""
+    if hint is Any:
+        return _same, _same
+    if hint in _SCALARS:
+        return hint, _SCALARS[hint]
+    if hint is np.ndarray:
+        return lambda v: np.asarray(v, dtype=float).tolist(), _float_array
+    if hint is _IntArray:
+        return lambda v: [int(x) for x in v], _float_array
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union and len(args) == 2 and type(None) in args:
+        encode, decode = _converter(next(a for a in args if a is not type(None)))
+        return (lambda v: None if v is None else encode(v),
+                lambda v: None if v is None else decode(v))
+    if origin in (list, tuple) and len(set(args) - {Ellipsis}) == 1:
+        # List[X], Tuple[X, ...] and fixed-length Tuple[X, X]
+        size = len(args) if origin is tuple and Ellipsis not in args else None
+        encode, decode = _converter(args[0])
+        return lambda v: list(map(encode, v)), _sequence(decode, origin, size)
+    if origin is dict:
+        encode, decode = _converter(args[1])
+        return lambda v: {k: encode(x) for k, x in v.items()}, _mapping(decode)
+    if dataclasses.is_dataclass(hint):
+        codec = _CODECS_BY_TYPE.get(hint)
+        if codec is None:
+            return _plan(hint).encode, _plan(hint).decode
+        return (_NESTED_ENCODERS.get(hint, functools.partial(_encode, codec)),
+                functools.partial(_decode, codec))
+    raise TypeError(f"no field-driven wire form for annotation {hint!r}")
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _scalar(kind: Type, *accepted: Type) -> Callable[[Any], Any]:
+    """Decode-side check of a scalar annotation (the type itself encodes)."""
+    def decode(value: Any) -> Any:
+        if type(value) not in accepted:
+            raise _not_a(kind.__name__, value)
+        return kind(value)
+
+    return decode
+
+
+_SCALARS = {
+    float: _scalar(float, float, int),
+    int: _scalar(int, int),
+    bool: _scalar(bool, bool),
+    str: _scalar(str, str),
+}
+
+
+def _float_array(value: Any) -> np.ndarray:
+    if not isinstance(value, list):
+        raise _not_a("a list", value)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _Malformed(f"not a numeric array ({exc})") from None
+
+
+def _sequence(decode_item: Callable[[Any], Any], build: Type,
+              size: Optional[int]) -> Callable[[Any], Any]:
+    def decode(value: Any) -> Any:
+        if not isinstance(value, list):
+            raise _not_a("a list", value)
+        if size is not None and len(value) != size:
+            raise _Malformed(f"expected {size} items, got {len(value)}")
+        try:
+            items = [decode_item(item) for item in value]
+        except _Malformed as exc:
+            raise exc.at(f"[{_misfit(decode_item, enumerate(value))}]")
+        return items if build is list else build(items)
+
+    return decode
+
+
+def _mapping(decode_value: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def decode(value: Any) -> Dict:
+        if not isinstance(value, dict):
+            raise _not_a("an object", value)
+        try:
+            return {key: decode_value(item) for key, item in value.items()}
+        except _Malformed as exc:
+            raise exc.at(f"[{_misfit(decode_value, value.items())!r}]")
+
+    return decode
+
+
+def _misfit(decode: Callable[[Any], Any], entries: Iterable[Tuple[Any, Any]]) -> Any:
+    """Key of the first ``(key, value)`` entry that ``decode`` rejects."""
+    for key, value in entries:
+        try:
+            decode(value)
+        except _Malformed:
+            return key
+
+
+def _not_a(what: str, value: Any) -> _Malformed:
+    return _Malformed(f"expected {what}, got {type(value).__name__}")
 
 
 # -- built-in codecs ---------------------------------------------------------
@@ -577,603 +782,79 @@ def _ensure_builtin_codecs() -> None:
     _BUILTINS_REGISTERED = True
 
 
+def _without_header(to_dict: Callable[[Any], Dict]) -> Callable[[Any], Dict]:
+    """A public helper's payload minus the header :func:`result_to_dict`
+    stamps on last."""
+    return lambda obj: {k: v for k, v in to_dict(obj).items()
+                        if k not in ("kind", "format_version")}
+
+
 def _register_builtin_codecs() -> None:
+    from repro.campaign.result import CampaignResult
     from repro.core.batch import ConfigBatch, SolutionBatch
     from repro.core.quhe import QuHEResult
     from repro.core.stage1 import Stage1Result
     from repro.core.stage2 import Stage2Result
     from repro.core.stage3 import Stage3Result
-    from repro.experiments.ablations import (
-        AblationSuite,
-        BnbAblation,
-        ConvexificationAblation,
-        TransformAblation,
-        WeightPoint,
-    )
-    from repro.experiments.dynamic import DynamicStudy, EpochResult
+    from repro.experiments.ablations import AblationSuite
+    from repro.experiments.dynamic import DynamicStudy
     from repro.experiments.fig3_optimality import OptimalityStudy
     from repro.experiments.fig4_convergence import ConvergenceTraces
     from repro.experiments.fig5_comparison import (
         Fig5Bundle,
         MethodComparison,
-        MethodRow,
         StageCallReport,
     )
     from repro.experiments.fig6_sweeps import SweepSeries, SweepSet
     from repro.experiments.report import ReportBundle
     from repro.experiments.tables import Stage1MethodComparison
     from repro.pipeline import PipelineReport
+    from repro.serve.bench import ServeBenchResult
+    from repro.serve.protocol import ServeRequest, ServeResponse
     from repro.sim.result import (
         AdaptiveSimStudy,
         RoutingCompareStudy,
         SimulationResult,
     )
 
-    register_codec(
-        "allocation",
-        Allocation,
-        lambda a: {k: v for k, v in allocation_to_dict(a).items()
-                   if k not in ("kind", "format_version")},
-        allocation_from_dict,
-    )
-    register_codec(
-        "metrics",
-        Metrics,
-        lambda m: {k: v for k, v in metrics_to_dict(m).items()
-                   if k not in ("kind", "format_version")},
-        metrics_from_dict,
-    )
+    # Formats the fields do not describe.
+    register_codec("allocation", Allocation,
+                   _without_header(allocation_to_dict), allocation_from_dict)
+    register_codec("metrics", Metrics,
+                   _without_header(metrics_to_dict), metrics_from_dict)
+    register_codec("config_batch", ConfigBatch,
+                   ConfigBatch.to_jsonable, ConfigBatch.from_jsonable)
+    register_codec("solution_batch", SolutionBatch,
+                   SolutionBatch.to_jsonable, SolutionBatch.from_jsonable)
+    register_codec("fault_plan", _faults.FaultPlan,
+                   _faults.FaultPlan.to_dict, _faults.FaultPlan.from_dict)
+    register_codec("serve_request", ServeRequest,
+                   ServeRequest.to_dict, ServeRequest.from_dict)
+    register_codec("serve_response", ServeResponse,
+                   ServeResponse.to_dict, ServeResponse.from_dict)
 
-    register_codec(
-        "config_batch",
-        ConfigBatch,
-        lambda b: b.to_jsonable(),
-        lambda d: ConfigBatch.from_jsonable(d),
-    )
-    register_codec(
-        "solution_batch",
-        SolutionBatch,
-        lambda b: b.to_jsonable(),
-        lambda d: SolutionBatch.from_jsonable(d),
-    )
-    register_codec(
-        "stage1_result",
-        Stage1Result,
-        lambda r: {
-            "phi": r.phi.tolist(),
-            "w": r.w.tolist(),
-            "value": float(r.value),
-            "iterations": int(r.iterations),
-            "runtime_s": float(r.runtime_s),
-            "history": _floats(r.history),
-            "converged": bool(r.converged),
-        },
-        lambda d: Stage1Result(
-            phi=np.asarray(d["phi"], dtype=float),
-            w=np.asarray(d["w"], dtype=float),
-            value=d["value"],
-            iterations=d["iterations"],
-            runtime_s=d["runtime_s"],
-            history=list(d["history"]),
-            converged=d["converged"],
-        ),
-    )
-    register_codec(
-        "stage2_result",
-        Stage2Result,
-        lambda r: {
-            "lam": [int(v) for v in r.lam],
-            "T": float(r.T),
-            "value": float(r.value),
-            "nodes_explored": int(r.nodes_explored),
-            "runtime_s": float(r.runtime_s),
-            "history": _floats(r.history),
-        },
-        lambda d: Stage2Result(
-            lam=np.asarray(d["lam"], dtype=float),
-            T=d["T"],
-            value=d["value"],
-            nodes_explored=d["nodes_explored"],
-            runtime_s=d["runtime_s"],
-            history=list(d["history"]),
-        ),
-    )
-    register_codec(
-        "stage3_result",
-        Stage3Result,
-        lambda r: {
-            "p": r.p.tolist(),
-            "b": r.b.tolist(),
-            "f_c": r.f_c.tolist(),
-            "f_s": r.f_s.tolist(),
-            "T": float(r.T),
-            "value": float(r.value),
-            "outer_iterations": int(r.outer_iterations),
-            "runtime_s": float(r.runtime_s),
-            "history": _floats(r.history),
-            "transform_gap": _floats(r.transform_gap),
-            "converged": bool(r.converged),
-        },
-        lambda d: Stage3Result(
-            p=np.asarray(d["p"], dtype=float),
-            b=np.asarray(d["b"], dtype=float),
-            f_c=np.asarray(d["f_c"], dtype=float),
-            f_s=np.asarray(d["f_s"], dtype=float),
-            T=d["T"],
-            value=d["value"],
-            outer_iterations=d["outer_iterations"],
-            runtime_s=d["runtime_s"],
-            history=list(d["history"]),
-            transform_gap=list(d["transform_gap"]),
-            # Absent in artifacts written before the field was encoded.
-            converged=d.get("converged", True),
-        ),
-    )
-    register_codec(
-        "quhe_result",
-        QuHEResult,
-        lambda r: {
-            "allocation": allocation_to_dict(r.allocation),
-            "metrics": metrics_to_dict(r.metrics),
-            "objective_history": _floats(r.objective_history),
-            "stage1": result_to_dict(r.stage1),
-            "stage2": result_to_dict(r.stage2),
-            "stage3": result_to_dict(r.stage3),
-            "stage1_calls": int(r.stage1_calls),
-            "stage2_calls": int(r.stage2_calls),
-            "stage3_calls": int(r.stage3_calls),
-            "outer_iterations": int(r.outer_iterations),
-            "runtime_s": float(r.runtime_s),
-            "converged": bool(r.converged),
-            "degraded": bool(r.degraded),
-        },
-        lambda d: QuHEResult(
-            allocation=allocation_from_dict(d["allocation"]),
-            metrics=metrics_from_dict(d["metrics"]),
-            objective_history=list(d["objective_history"]),
-            stage1=result_from_dict(d["stage1"]),
-            stage2=result_from_dict(d["stage2"]),
-            stage3=result_from_dict(d["stage3"]),
-            stage1_calls=d["stage1_calls"],
-            stage2_calls=d["stage2_calls"],
-            stage3_calls=d["stage3_calls"],
-            outer_iterations=d["outer_iterations"],
-            runtime_s=d["runtime_s"],
-            converged=d["converged"],
-            # Absent in pre-robustness artifacts: same format version, the
-            # primary path was the only path then.
-            degraded=d.get("degraded", False),
-        ),
-    )
-
-    register_codec(
-        "stage1_method_comparison",
-        Stage1MethodComparison,
-        lambda c: {
-            "results": {name: result_to_dict(res) for name, res in c.results.items()}
-        },
-        lambda d: Stage1MethodComparison(
-            results={name: result_from_dict(res) for name, res in d["results"].items()}
-        ),
-    )
-    register_codec(
-        "optimality_study",
-        OptimalityStudy,
-        lambda s: {
-            "values": s.values.tolist(),
-            "bin_edges": [[float(lo), float(hi)] for lo, hi in s.bin_edges],
-            "bin_counts": [int(c) for c in s.bin_counts],
-        },
-        lambda d: OptimalityStudy(
-            values=np.asarray(d["values"], dtype=float),
-            bin_edges=tuple((lo, hi) for lo, hi in d["bin_edges"]),
-            bin_counts=list(d["bin_counts"]),
-        ),
-    )
-    register_codec(
-        "convergence_traces",
-        ConvergenceTraces,
-        lambda t: {
-            "stage1_objective": _floats(t.stage1_objective),
-            "stage2_incumbent": _floats(t.stage2_incumbent),
-            "stage3_objective": _floats(t.stage3_objective),
-            "stage3_gap": _floats(t.stage3_gap),
-            "stage1_iterations": int(t.stage1_iterations),
-            "stage2_nodes": int(t.stage2_nodes),
-            "stage3_iterations": int(t.stage3_iterations),
-            "outer_iterations": int(t.outer_iterations),
-            "total_runtime_s": float(t.total_runtime_s),
-        },
-        lambda d: ConvergenceTraces(
-            stage1_objective=list(d["stage1_objective"]),
-            stage2_incumbent=list(d["stage2_incumbent"]),
-            stage3_objective=list(d["stage3_objective"]),
-            stage3_gap=list(d["stage3_gap"]),
-            stage1_iterations=d["stage1_iterations"],
-            stage2_nodes=d["stage2_nodes"],
-            stage3_iterations=d["stage3_iterations"],
-            outer_iterations=d["outer_iterations"],
-            total_runtime_s=d["total_runtime_s"],
-        ),
-    )
-    register_codec(
-        "stage_call_report",
-        StageCallReport,
-        lambda r: {
-            "stage1_calls": int(r.stage1_calls),
-            "stage2_calls": int(r.stage2_calls),
-            "stage3_calls": int(r.stage3_calls),
-            "runtime_s": float(r.runtime_s),
-        },
-        lambda d: StageCallReport(
-            stage1_calls=d["stage1_calls"],
-            stage2_calls=d["stage2_calls"],
-            stage3_calls=d["stage3_calls"],
-            runtime_s=d["runtime_s"],
-        ),
-    )
-    register_codec(
-        "method_comparison",
-        MethodComparison,
-        lambda c: {
-            "rows": [
-                {
-                    "method": r.method,
-                    "energy_j": float(r.energy_j),
-                    "delay_s": float(r.delay_s),
-                    "u_msl": float(r.u_msl),
-                    "objective": float(r.objective),
-                }
-                for r in c.rows
-            ]
-        },
-        lambda d: MethodComparison(rows=[MethodRow(**row) for row in d["rows"]]),
-    )
-    register_codec(
-        "fig5_bundle",
-        Fig5Bundle,
-        lambda b: {
-            "stage_calls": result_to_dict(b.stage_calls),
-            "stage1_methods": result_to_dict(b.stage1_methods),
-            "methods": result_to_dict(b.methods),
-        },
-        lambda d: Fig5Bundle(
-            stage_calls=result_from_dict(d["stage_calls"]),
-            stage1_methods=result_from_dict(d["stage1_methods"]),
-            methods=result_from_dict(d["methods"]),
-        ),
-    )
-    register_codec(
-        "sweep_series",
-        SweepSeries,
-        lambda s: {
-            "parameter": s.parameter,
-            "x_values": s.x_values.tolist(),
-            "objectives": {m: _floats(v) for m, v in s.objectives.items()},
-        },
-        lambda d: SweepSeries(
-            parameter=d["parameter"],
-            x_values=np.asarray(d["x_values"], dtype=float),
-            objectives={m: list(v) for m, v in d["objectives"].items()},
-        ),
-    )
-    register_codec(
-        "sweep_set",
-        SweepSet,
-        lambda s: {
-            "panels": {name: result_to_dict(series) for name, series in s.panels.items()}
-        },
-        lambda d: SweepSet(
-            panels={
-                name: result_from_dict(series) for name, series in d["panels"].items()
-            }
-        ),
-    )
-    register_codec(
-        "ablation_suite",
-        AblationSuite,
-        lambda s: {
-            "bnb": {
-                "bnb_value": float(s.bnb.bnb_value),
-                "exhaustive_value": float(s.bnb.exhaustive_value),
-                "bnb_nodes": int(s.bnb.bnb_nodes),
-                "exhaustive_nodes": int(s.bnb.exhaustive_nodes),
-                "identical_argmax": bool(s.bnb.identical_argmax),
-            },
-            "transform": {
-                "transform_value": float(s.transform.transform_value),
-                "direct_value": float(s.transform.direct_value),
-                "transform_runtime_s": float(s.transform.transform_runtime_s),
-                "direct_runtime_s": float(s.transform.direct_runtime_s),
-            },
-            "weights": [
-                {
-                    "alpha_msl": float(p.alpha_msl),
-                    "lam": [int(v) for v in p.lam],
-                    "u_msl": float(p.u_msl),
-                    "total_energy": float(p.total_energy),
-                    "objective": float(p.objective),
-                }
-                for p in s.weights
-            ],
-            "activation_threshold": float(s.activation_threshold),
-            "convexification": {
-                "log_space_value": float(s.convexification.log_space_value),
-                "raw_space_value": float(s.convexification.raw_space_value),
-                "raw_space_converged": bool(s.convexification.raw_space_converged),
-            },
-        },
-        lambda d: AblationSuite(
-            bnb=BnbAblation(**d["bnb"]),
-            transform=TransformAblation(**d["transform"]),
-            weights=[
-                WeightPoint(
-                    alpha_msl=p["alpha_msl"],
-                    lam=np.asarray(p["lam"], dtype=float),
-                    u_msl=p["u_msl"],
-                    total_energy=p["total_energy"],
-                    objective=p["objective"],
-                )
-                for p in d["weights"]
-            ],
-            activation_threshold=d["activation_threshold"],
-            convexification=ConvexificationAblation(**d["convexification"]),
-        ),
-    )
-    register_codec(
-        "dynamic_study",
-        DynamicStudy,
-        lambda s: {
-            "epochs": [
-                {
-                    "epoch": int(e.epoch),
-                    "gains": e.gains.tolist(),
-                    "adaptive_objective": float(e.adaptive_objective),
-                    "static_objective": float(e.static_objective),
-                }
-                for e in s.epochs
-            ],
-            "baseline_allocation": allocation_to_dict(s.baseline_allocation),
-        },
-        lambda d: DynamicStudy(
-            epochs=[
-                EpochResult(
-                    epoch=e["epoch"],
-                    gains=np.asarray(e["gains"], dtype=float),
-                    adaptive_objective=e["adaptive_objective"],
-                    static_objective=e["static_objective"],
-                )
-                for e in d["epochs"]
-            ],
-            baseline_allocation=allocation_from_dict(d["baseline_allocation"]),
-        ),
-    )
-    register_codec(
-        "pipeline_report",
-        PipelineReport,
-        lambda r: {
-            "client_index": int(r.client_index),
-            "qkd_key_bytes": int(r.qkd_key_bytes),
-            "uplink_bits": float(r.uplink_bits),
-            "uplink_delay_s": float(r.uplink_delay_s),
-            "uplink_energy_j": float(r.uplink_energy_j),
-            "prediction": np.asarray(r.prediction, dtype=float).tolist(),
-            "plaintext_reference": np.asarray(
-                r.plaintext_reference, dtype=float
-            ).tolist(),
-        },
-        lambda d: PipelineReport(
-            client_index=d["client_index"],
-            qkd_key_bytes=d["qkd_key_bytes"],
-            uplink_bits=d["uplink_bits"],
-            uplink_delay_s=d["uplink_delay_s"],
-            uplink_energy_j=d["uplink_energy_j"],
-            prediction=np.asarray(d["prediction"], dtype=float),
-            plaintext_reference=np.asarray(d["plaintext_reference"], dtype=float),
-        ),
-    )
-    register_codec(
-        "simulation_result",
-        SimulationResult,
-        lambda r: {
-            "duration_s": float(r.duration_s),
-            "seed": int(r.seed),
-            "allocated_phi": _floats(r.allocated_phi),
-            "allocated_key_rate": _floats(r.allocated_key_rate),
-            "demand_rate": _floats(r.demand_rate),
-            "sample_times": _floats(r.sample_times),
-            "buffer_bits": [_floats(row) for row in r.buffer_bits],
-            "delivered_bits_series": [
-                _floats(row) for row in r.delivered_bits_series
-            ],
-            "shortfall_bits_series": [
-                _floats(row) for row in r.shortfall_bits_series
-            ],
-            "pairs_generated": [int(v) for v in r.pairs_generated],
-            "pairs_delivered": [int(v) for v in r.pairs_delivered],
-            "pairs_dropped": [int(v) for v in r.pairs_dropped],
-            "delivered_bits": _floats(r.delivered_bits),
-            "demand_bits": _floats(r.demand_bits),
-            "served_bits": _floats(r.served_bits),
-            "shortfall_bits": _floats(r.shortfall_bits),
-            "expected_key_bits": float(r.expected_key_bits),
-            "outages": [_floats(entry) for entry in r.outages],
-            "reopt_times": _floats(r.reopt_times),
-            "reopt_failures": int(r.reopt_failures),
-            "events_processed": int(r.events_processed),
-            "wall_time_s": float(r.wall_time_s),
-            "trace_digest": str(r.trace_digest),
-            "reroutes": [_floats(entry) for entry in r.reroutes],
-            "pairs_flushed": [int(v) for v in r.pairs_flushed],
-            "final_route_links": [
-                [int(l) for l in row] for row in r.final_route_links
-            ],
-        },
-        lambda d: SimulationResult(
-            duration_s=d["duration_s"],
-            seed=d["seed"],
-            allocated_phi=list(d["allocated_phi"]),
-            allocated_key_rate=list(d["allocated_key_rate"]),
-            demand_rate=list(d["demand_rate"]),
-            sample_times=list(d["sample_times"]),
-            buffer_bits=[list(row) for row in d["buffer_bits"]],
-            delivered_bits_series=[
-                list(row) for row in d["delivered_bits_series"]
-            ],
-            shortfall_bits_series=[
-                list(row) for row in d["shortfall_bits_series"]
-            ],
-            pairs_generated=list(d["pairs_generated"]),
-            pairs_delivered=list(d["pairs_delivered"]),
-            pairs_dropped=list(d["pairs_dropped"]),
-            delivered_bits=list(d["delivered_bits"]),
-            demand_bits=list(d["demand_bits"]),
-            served_bits=list(d["served_bits"]),
-            shortfall_bits=list(d["shortfall_bits"]),
-            expected_key_bits=d["expected_key_bits"],
-            outages=[list(entry) for entry in d["outages"]],
-            reopt_times=list(d["reopt_times"]),
-            reopt_failures=d["reopt_failures"],
-            events_processed=d["events_processed"],
-            wall_time_s=d["wall_time_s"],
-            trace_digest=d["trace_digest"],
-            # pre-routing artifacts lack the routing fields
-            reroutes=[list(entry) for entry in d.get("reroutes", [])],
-            pairs_flushed=list(d.get("pairs_flushed", [])),
-            final_route_links=[
-                list(row) for row in d.get("final_route_links", [])
-            ],
-        ),
-    )
-    register_codec(
-        "adaptive_sim_study",
-        AdaptiveSimStudy,
-        lambda s: {
-            "adaptive": result_to_dict(s.adaptive),
-            "static": result_to_dict(s.static),
-        },
-        lambda d: AdaptiveSimStudy(
-            adaptive=result_from_dict(d["adaptive"]),
-            static=result_from_dict(d["static"]),
-        ),
-    )
-    register_codec(
-        "routing_compare_study",
-        RoutingCompareStudy,
-        lambda s: {
-            "proactive": result_to_dict(s.proactive),
-            "reactive": result_to_dict(s.reactive),
-            "static": result_to_dict(s.static),
-        },
-        lambda d: RoutingCompareStudy(
-            proactive=result_from_dict(d["proactive"]),
-            reactive=result_from_dict(d["reactive"]),
-            static=result_from_dict(d["static"]),
-        ),
-    )
-    from repro.campaign.result import CampaignResult, GridPointAggregate
-
-    register_codec(
-        "campaign_result",
-        CampaignResult,
-        lambda r: {
-            "name": r.name,
-            "scenario": r.scenario,
-            "base": dict(r.base),
-            "axes": {name: list(values) for name, values in r.axes.items()},
-            "seeds": [int(s) for s in r.seeds],
-            "backend": r.backend,
-            "cells_total": int(r.cells_total),
-            "cells_completed": int(r.cells_completed),
-            "cells_failed": int(r.cells_failed),
-            "failed_cell_ids": [str(c) for c in r.failed_cell_ids],
-            "points": [
-                {
-                    "params": dict(p.params),
-                    "metrics": {
-                        name: {k: v for k, v in stats.items()}
-                        for name, stats in p.metrics.items()
-                    },
-                }
-                for p in r.points
-            ],
-        },
-        lambda d: CampaignResult(
-            name=d["name"],
-            scenario=d["scenario"],
-            base=dict(d["base"]),
-            axes={name: list(values) for name, values in d["axes"].items()},
-            seeds=[int(s) for s in d["seeds"]],
-            backend=d["backend"],
-            cells_total=d["cells_total"],
-            cells_completed=d["cells_completed"],
-            # Absent in pre-quarantine artifacts: no cell could fail
-            # survivably then, so zero is the faithful reading.
-            cells_failed=d.get("cells_failed", 0),
-            failed_cell_ids=list(d.get("failed_cell_ids", [])),
-            points=[
-                GridPointAggregate(
-                    params=dict(p["params"]),
-                    metrics={name: dict(stats)
-                             for name, stats in p["metrics"].items()},
-                )
-                for p in d["points"]
-            ],
-        ),
-    )
-    register_codec(
-        "fault_plan",
-        _faults.FaultPlan,
-        lambda p: p.to_dict(),
-        _faults.FaultPlan.from_dict,
-    )
-    register_codec(
-        "report_bundle",
-        ReportBundle,
-        lambda b: {
-            "seed": int(b.seed),
-            "fig3_samples": int(b.fig3_samples),
-            "stage1_methods": result_to_dict(b.stage1_methods),
-            "optimality": result_to_dict(b.optimality),
-            "convergence": result_to_dict(b.convergence),
-            "stage_calls": result_to_dict(b.stage_calls),
-            "methods": result_to_dict(b.methods),
-            "sweeps": result_to_dict(b.sweeps),
-        },
-        lambda d: ReportBundle(
-            seed=d["seed"],
-            fig3_samples=d["fig3_samples"],
-            stage1_methods=result_from_dict(d["stage1_methods"]),
-            optimality=result_from_dict(d["optimality"]),
-            convergence=result_from_dict(d["convergence"]),
-            stage_calls=result_from_dict(d["stage_calls"]),
-            methods=result_from_dict(d["methods"]),
-            sweeps=result_from_dict(d["sweeps"]),
-        ),
-    )
-    import dataclasses
-
-    from repro.serve.bench import ServeBenchResult
-    from repro.serve.protocol import ServeRequest, ServeResponse
-
-    register_codec(
-        "serve_request",
-        ServeRequest,
-        lambda r: r.to_dict(),
-        ServeRequest.from_dict,
-    )
-    register_codec(
-        "serve_response",
-        ServeResponse,
-        lambda r: r.to_dict(),
-        ServeResponse.from_dict,
-    )
-    register_codec(
-        "serve_bench_result",
-        ServeBenchResult,
-        dataclasses.asdict,
-        lambda d: ServeBenchResult(**{
-            k: v for k, v in d.items()
-            if k not in ("kind", "format_version")
-        }),
-    )
+    # Everything else is its fields.
+    for kind, cls in (
+        ("stage1_result", Stage1Result),
+        ("stage2_result", Stage2Result),
+        ("stage3_result", Stage3Result),
+        ("quhe_result", QuHEResult),
+        ("stage1_method_comparison", Stage1MethodComparison),
+        ("optimality_study", OptimalityStudy),
+        ("convergence_traces", ConvergenceTraces),
+        ("stage_call_report", StageCallReport),
+        ("method_comparison", MethodComparison),
+        ("fig5_bundle", Fig5Bundle),
+        ("sweep_series", SweepSeries),
+        ("sweep_set", SweepSet),
+        ("ablation_suite", AblationSuite),
+        ("dynamic_study", DynamicStudy),
+        ("pipeline_report", PipelineReport),
+        ("simulation_result", SimulationResult),
+        ("adaptive_sim_study", AdaptiveSimStudy),
+        ("routing_compare_study", RoutingCompareStudy),
+        ("campaign_result", CampaignResult),
+        ("report_bundle", ReportBundle),
+        ("serve_bench_result", ServeBenchResult),
+    ):
+        register_codec(kind, cls)

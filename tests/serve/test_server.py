@@ -8,11 +8,12 @@ a solve through the daemon must be *identical* to a direct
 
 import asyncio
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import io as repro_io
-from repro.api.service import SolverService
+from repro.api.service import SolverService, config_fingerprint
 from repro.serve import (
     AllocationServer,
     ConfigSpec,
@@ -251,6 +252,28 @@ class TestProtocolErrors:
         asyncio.run(_with_server(
             ServeSettings(socket_path=_sock(tmp_path)), body
         ))
+
+    def test_undecodable_cache_row_yields_artifact_error(self, tmp_path):
+        """A cache hit on a row missing a field is answered with a typed
+        ArtifactError naming the field path, not a raw KeyError."""
+        db = str(tmp_path / "cache.db")
+        spec = ConfigSpec(seed=2)
+        golden = Path(__file__).resolve().parents[1] / "golden_codecs"
+        row = json.loads((golden / "quhe_result.json").read_text())
+        del row["stage3"]["value"]
+        SqliteResultCache(db).put_payload(config_fingerprint(spec.build()), row)
+
+        async def body(server, client):
+            return await client.solve(spec)
+
+        response = asyncio.run(_with_server(
+            ServeSettings(socket_path=_sock(tmp_path), cache_db=db), body
+        ))
+        assert not response.ok
+        assert response.error["type"] == "ArtifactError"
+        assert "quhe_result.stage3.value: missing field" in (
+            response.error["message"]
+        )
 
 
 class TestHealthAndDrain:

@@ -15,6 +15,7 @@ from repro.io import (
     load_result,
     metrics_from_dict,
     metrics_to_dict,
+    register_codec,
     registered_kinds,
     result_from_dict,
     result_to_dict,
@@ -115,6 +116,32 @@ class TestResultCodecs:
         payload["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
             result_from_dict(payload)
+
+    def test_hand_written_pair_still_registers(self):
+        class Celsius:
+            def __init__(self, degrees):
+                self.degrees = degrees
+
+        register_codec(
+            "test_celsius", Celsius,
+            lambda c: {"deg": c.degrees}, lambda d: Celsius(d["deg"]),
+            version=2,
+        )
+        payload = result_to_dict(Celsius(21.5))
+        assert payload == {"deg": 21.5, "kind": "test_celsius",
+                           "format_version": 2}
+        assert result_from_dict(payload).degrees == 21.5
+        with pytest.raises(ValueError, match="malformed test_celsius payload"):
+            result_from_dict({"kind": "test_celsius", "format_version": 2})
+
+    def test_field_driven_form_needs_a_dataclass(self):
+        class Plain:
+            pass
+
+        with pytest.raises(TypeError, match="not a dataclass"):
+            register_codec("test_plain", Plain)
+        with pytest.raises(ValueError, match="both encode and decode"):
+            register_codec("test_plain", Plain, lambda p: {})
 
 
 class TestValidation:
