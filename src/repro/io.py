@@ -129,12 +129,12 @@ def allocation_from_dict(data: Dict) -> Allocation:
         raise ValueError(
             f"unsupported format version {version!r} (supported: {FORMAT_VERSION})"
         )
-    arrays = ("phi", "w", "lam", "p", "b", "f_c", "f_s")
-    missing = [key for key in arrays if key not in data]
+    required = ("phi", "w", "lam", "p", "b", "f_c", "f_s")
+    missing = [key for key in required if key not in data]
     if missing:
         raise ValueError(f"allocation payload missing fields: {missing}")
     return Allocation(
-        **{key: np.asarray(data[key], dtype=float) for key in arrays},
+        **{key: np.asarray(data[key], dtype=float) for key in required},
         T=data.get("T"),
     )
 
