@@ -626,7 +626,7 @@ class _FieldPlan:
             (f.name,
              *_converter(_WIRE_TYPES.get(f"{owner}.{f.name}", hints[f.name])),
              f.name in optional)
-            for f in dataclasses.fields(self.cls) if f.init
+            for f in dataclasses.fields(self.cls)
         ]
 
     def encode(self, obj: Any) -> Dict:

@@ -84,6 +84,12 @@ def _body_fields(payload):
     return [key for key in payload if key not in ("kind", "format_version")]
 
 
+def _error(payload):
+    with pytest.raises(ValueError) as info:
+        result_from_dict(payload)
+    return str(info.value)
+
+
 def _default(cls, name):
     field = {f.name: f for f in dataclasses.fields(cls)}[name]
     if field.default is not dataclasses.MISSING:
@@ -100,8 +106,7 @@ def test_dropped_field_is_rejected_unless_wire_optional(kind):
             restored = result_from_dict(payload)
             assert getattr(restored, name) == _default(type(restored), name)
         else:
-            with pytest.raises(ValueError, match=rf"^{kind}\.{name}: missing field$"):
-                result_from_dict(payload)
+            assert _error(payload) == f"{kind}.{name}: missing field"
 
 
 @pytest.mark.parametrize("kind", FIELD_DRIVEN)
@@ -111,49 +116,47 @@ def test_object_replaced_by_list_is_rejected(kind):
     for name in objects:
         payload = _corpus(kind)
         payload[name] = []
-        with pytest.raises(ValueError, match=rf"^{kind}\.{name}: expected "):
-            result_from_dict(payload)
+        assert _error(payload).startswith(f"{kind}.{name}: expected ")
 
 
 def test_nested_paths_are_named():
     payload = _corpus("quhe_result")
     del payload["stage1"]["converged"]  # a default alone is not optional
-    with pytest.raises(ValueError, match=r"^quhe_result\.stage1\.converged: missing field$"):
-        result_from_dict(payload)
+    assert _error(payload) == "quhe_result.stage1.converged: missing field"
 
     payload = _corpus("ablation_suite")
     payload["weights"][1] = []
-    with pytest.raises(ValueError, match=r"^ablation_suite\.weights\[1\]: expected an object, got list$"):
-        result_from_dict(payload)
+    assert _error(payload) == (
+        "ablation_suite.weights[1]: expected an object, got list")
 
     payload = _corpus("sweep_set")
     del payload["panels"]["server_cpu"]["x_values"]
-    with pytest.raises(ValueError, match=r"^sweep_set\.panels\['server_cpu'\]\.x_values: missing field$"):
-        result_from_dict(payload)
+    assert _error(payload) == (
+        "sweep_set.panels['server_cpu'].x_values: missing field")
 
     payload = _corpus("quhe_result")
     payload["stage1_calls"] = "3"
-    with pytest.raises(ValueError, match=r"^quhe_result\.stage1_calls: expected int, got str$"):
-        result_from_dict(payload)
+    assert _error(payload) == (
+        "quhe_result.stage1_calls: expected int, got str")
 
 
 def test_nested_payload_of_the_wrong_kind_is_rejected():
     payload = _corpus("quhe_result")
     payload["stage1"] = payload["stage2"]
-    with pytest.raises(ValueError, match=r"^quhe_result\.stage1: expected a stage1_result payload, got kind 'stage2_result'$"):
-        result_from_dict(payload)
+    assert _error(payload) == (
+        "quhe_result.stage1: expected a stage1_result payload, "
+        "got kind 'stage2_result'")
 
 
 def test_malformed_hand_written_payload_is_a_value_error():
     payload = _corpus("quhe_result")
     del payload["metrics"]["per_node"]
-    with pytest.raises(ValueError, match=r"^quhe_result\.metrics: malformed metrics payload: KeyError"):
-        result_from_dict(payload)
+    assert _error(payload) == (
+        "quhe_result.metrics: malformed metrics payload: KeyError('per_node')")
 
 
 def test_payload_that_is_not_an_object_is_rejected():
-    with pytest.raises(ValueError, match="expected a result payload object, got list"):
-        result_from_dict([])
+    assert _error([]) == "expected a result payload object, got list"
 
 
 def test_malformed_artifact_and_cache_row_raise_artifact_error(tmp_path):
@@ -161,8 +164,9 @@ def test_malformed_artifact_and_cache_row_raise_artifact_error(tmp_path):
     del payload["stage3"]["value"]
     path = tmp_path / "result.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ArtifactError, match=r"result\.json: quhe_result\.stage3\.value: missing field") as info:
+    with pytest.raises(ArtifactError) as info:
         load_result(path)
+    assert str(info.value) == f"{path}: quhe_result.stage3.value: missing field"
     assert info.value.path == str(path)
 
     cache = SqliteResultCache(str(tmp_path / "results.db"))
