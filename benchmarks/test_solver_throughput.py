@@ -1,11 +1,9 @@
 """SolverService throughput: cache hits, batch fan-out, end-to-end latency.
 
-The API-redesign acceptance criteria live here: ``solve_many`` must produce
-results identical to the serial loop at any worker count, and the
-fingerprint cache must turn repeat solves into sub-millisecond lookups.
-Pool *speedup* is recorded by ``scripts/bench_solver.py`` →
-``BENCH_solver.json`` rather than asserted, because it depends on the
-machine's core count.
+The API-redesign acceptance criteria live here: ``solve_many`` must agree
+with a loop of scalar solves, and the fingerprint cache must turn repeat
+solves into sub-millisecond lookups.  Batch *speedup* is recorded by
+``scripts/bench_solver.py`` → ``BENCH_solver.json``.
 
 Run::
 
@@ -19,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api.service import SolverService
+from repro.core.quhe import QuHE
 from repro.experiments.fig6_sweeps import PAPER_SWEEPS
 from repro.utils.bench import time_op
 
@@ -57,41 +56,17 @@ def test_cache_hit_is_fast_and_identical(typical_cfg, capsys):
 
 
 @pytest.mark.smoke
-def test_solve_many_backends_identical_to_serial(sweep_configs):
-    serial = SolverService().solve_many(
-        sweep_configs, backend="serial", use_cache=False
-    )
-    # The pool backend runs the same scalar code in worker processes
-    # (bit-identical); the batched backend shares the scalar Stage-3 core
-    # and agrees within the 1e-9 equivalence contract.
-    pooled = SolverService().solve_many(
-        sweep_configs, backend="pool", workers=2, use_cache=False
-    )
-    batched = SolverService().solve_many(
-        sweep_configs, backend="batched", use_cache=False
-    )
-    for a, b, c in zip(serial, pooled, batched):
-        assert a.objective == pytest.approx(b.objective, rel=1e-12)
+def test_solve_many_matches_serial_loop(sweep_configs):
+    serial = [QuHE(cfg).solve() for cfg in sweep_configs]
+    # The batched solve shares the scalar Stage-3 core and agrees within
+    # the 1e-9 equivalence contract.
+    batched = SolverService().solve_many(sweep_configs, use_cache=False)
+    for a, c in zip(serial, batched):
         assert abs(a.objective - c.objective) <= 1e-9
         assert np.array_equal(a.allocation.lam, c.allocation.lam)
-        for other in (b, c):
-            assert np.allclose(a.allocation.phi, other.allocation.phi)
-            assert np.allclose(a.allocation.b, other.allocation.b)
-            assert np.allclose(a.allocation.f_s, other.allocation.f_s)
-
-
-@pytest.mark.smoke
-def test_auto_backend_avoids_pool_on_small_machines(sweep_configs, monkeypatch):
-    """The 1-core pool regression: workers>1 must not force a pool."""
-    import repro.api.service as service_module
-
-    monkeypatch.setattr(service_module.os, "cpu_count", lambda: 1)
-    service = SolverService()
-    service.solve_many(sweep_configs[:2], workers=2, use_cache=False)
-    assert service.last_backend == "batched"
-    monkeypatch.setattr(service_module.os, "cpu_count", lambda: 8)
-    service.solve_many(sweep_configs[:2], workers=2, use_cache=False)
-    assert service.last_backend == "pool"
+        assert np.allclose(a.allocation.phi, c.allocation.phi)
+        assert np.allclose(a.allocation.b, c.allocation.b)
+        assert np.allclose(a.allocation.f_s, c.allocation.f_s)
 
 
 @pytest.mark.bench
@@ -99,7 +74,7 @@ def test_benchmark_solve_many(benchmark, sweep_configs, service):
     results = benchmark.pedantic(
         service.solve_many,
         args=(sweep_configs,),
-        kwargs={"workers": 4, "use_cache": False},
+        kwargs={"use_cache": False},
         rounds=1,
         iterations=1,
     )

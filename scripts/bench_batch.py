@@ -196,9 +196,9 @@ def bench_stack_tax(seed: int, k: int = 64):
 def bench_service_cache(seed: int):
     configs = sweep_configs(8, seed)
     service = SolverService(cache_size=128)
-    service.solve_many(configs, backend="batched")
+    service.solve_many(configs)
     start = time.perf_counter()
-    service.solve_many(configs, backend="batched")
+    service.solve_many(configs)
     elapsed = time.perf_counter() - start
     yield BenchResult(
         op="solve_many_warm_cache",

@@ -6,17 +6,16 @@ Times the SolverService front-door end to end:
 * ``solve_cold`` — one full QuHE solve on the paper configuration,
 * ``solve_cached`` — the same config through the fingerprint cache,
 * ``solve_many`` — the Fig.-6 bandwidth-sweep batch (one config per sweep
-  point) at several worker counts, with the serial/pooled results checked
-  identical before timing.
+  point) through the service (``batched``) against a plain loop of scalar
+  ``QuHE(cfg).solve()`` calls (``serial``), the two checked to agree
+  within 1e-9 before timing.
 
 Writes a machine-readable report (see :mod:`repro.utils.bench` for the
-schema).  Note: pool speedups depend on available cores — the report
-records ``cpu_count`` so single-core CI numbers are interpretable.
+schema).
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_solver.py              # default grid
-    PYTHONPATH=src python scripts/bench_solver.py --quick      # fewer workers
+    PYTHONPATH=src python scripts/bench_solver.py
     PYTHONPATH=src python scripts/bench_solver.py --output my.json
 """
 
@@ -30,10 +29,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np  # noqa: E402
-
 from repro.api.service import SolverService, config_fingerprint  # noqa: E402
 from repro.core.config import paper_config  # noqa: E402
+from repro.core.quhe import QuHE  # noqa: E402
 from repro.experiments.fig6_sweeps import PAPER_SWEEPS  # noqa: E402
 from repro.utils.bench import (  # noqa: E402
     BenchResult,
@@ -83,20 +81,17 @@ def bench_single(seed: int = 2):
     )
 
 
-def bench_solve_many(worker_grid, seed: int = 2):
+def bench_solve_many(seed: int = 2):
     configs = sweep_configs(seed)
-    reference = SolverService().solve_many(
-        configs, backend="serial", use_cache=False
-    )
-    runs = [("serial", {"backend": "serial"}), ("batched", {"backend": "batched"})]
-    runs += [
-        (f"pool-workers={w}", {"backend": "pool", "workers": w})
-        for w in worker_grid
+    runs = [
+        ("serial", lambda: [QuHE(cfg).solve() for cfg in configs]),
+        ("batched", lambda: SolverService().solve_many(
+            configs, use_cache=False)),
     ]
-    for label, kwargs in runs:
-        service = SolverService()
+    reference = runs[0][1]()
+    for label, run in runs:
         start = time.perf_counter()
-        results = service.solve_many(configs, use_cache=False, **kwargs)
+        results = run()
         elapsed = time.perf_counter() - start
         for a, b in zip(reference, results):
             assert abs(a.objective - b.objective) <= 1e-9, (
@@ -115,8 +110,6 @@ def bench_solve_many(worker_grid, seed: int = 2):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="BENCH_solver.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="pool at 2 workers only")
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero when a performance floor fails")
@@ -126,8 +119,7 @@ def main(argv=None) -> int:
     for res in bench_single(seed=args.seed):
         results.append(res)
         print(res)
-    worker_grid = (2,) if args.quick else (2, 4)
-    for res in bench_solve_many(worker_grid, seed=args.seed):
+    for res in bench_solve_many(seed=args.seed):
         results.append(res)
         print(res)
 

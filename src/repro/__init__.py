@@ -31,7 +31,7 @@ Subpackages
 ``repro.api``
     Unified scenario registry + :class:`SolverService` front-door: cached,
     batchable solves and artifact-first experiment runs
-    (``run_scenario("fig6", {"workers": 4}).save("runs/")``).
+    (``run_scenario("fig6", {"panel": "power"}).save("runs/")``).
 """
 
 from repro.core import (

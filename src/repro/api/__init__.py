@@ -8,7 +8,7 @@ goes through the same door:
   parameter spec, and the CLI is generated from this table.
 * :mod:`repro.api.service` — :class:`~repro.api.service.SolverService`, the
   cached/batched front-door to the QuHE solver (``solve``, ``solve_many``
-  with process-pool fan-out and progress callbacks).
+  and ``solve_batch`` share one vectorized solve path).
 * :mod:`repro.api.artifacts` — :class:`~repro.api.artifacts.RunRecord`,
   the durable params+seed+result+timings artifact each run can write.
 
@@ -19,7 +19,7 @@ Quick start::
 
     from repro.api import run_scenario
 
-    record = run_scenario("fig6", {"panel": "bandwidth", "workers": 4})
+    record = run_scenario("fig6", {"panel": "bandwidth"})
     print(record.result.render())
     record.save("runs/")
 """

@@ -79,9 +79,6 @@ class RunRecord:
     started_at: str
     runtime_s: float
     run_id: str = ""
-    #: Concrete solver backend the run used for batch solves ("batched",
-    #: "pool" or "serial"), or None when the scenario never batch-solved.
-    backend: Optional[str] = None
     #: Solver-cache activity attributable to this run (hit/miss/coalesced
     #: deltas of :meth:`SolverService.cache_info`), or None when no cache
     #: probe was supplied.
@@ -117,7 +114,6 @@ class RunRecord:
             "seed": self.seed,
             "started_at": self.started_at,
             "runtime_s": self.runtime_s,
-            "backend": self.backend,
             "cache_stats": self.cache_stats,
             "result": self.result_payload(),
         }
@@ -186,7 +182,6 @@ class RunRecord:
                 started_at=data["started_at"],
                 runtime_s=float(data["runtime_s"]),
                 run_id=data["run_id"],
-                backend=data.get("backend"),
                 cache_stats=data.get("cache_stats"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -200,21 +195,16 @@ def record_run(
     params: Dict[str, Any],
     run,
     *,
-    backend_probe=None,
     cache_probe=None,
 ) -> RunRecord:
     """Execute ``run(**params)`` and wrap the outcome in a :class:`RunRecord`.
 
-    ``backend_probe`` is an optional zero-argument callable queried *after*
-    the run for the concrete solver backend it used (the scenario layer
-    passes :meth:`SolverService.consume_last_backend`).  ``cache_probe`` is
-    an optional zero-argument callable returning monotonic cache counters
-    (:meth:`SolverService.cache_info`); it is sampled before and after the
-    run and the record stores the per-run delta.
+    ``cache_probe`` is an optional zero-argument callable returning
+    monotonic cache counters (:meth:`SolverService.cache_info`); it is
+    sampled before and after the run and the record stores the per-run
+    delta.
     """
     started_at = time.strftime("%Y%m%dT%H%M%S")
-    if backend_probe is not None:
-        backend_probe()  # clear any stale value from a previous run
     cache_before = dict(cache_probe()) if cache_probe is not None else None
     start = time.perf_counter()
     result = run(**params)
@@ -232,6 +222,5 @@ def record_run(
         result=result,
         started_at=started_at,
         runtime_s=runtime,
-        backend=backend_probe() if backend_probe is not None else None,
         cache_stats=cache_stats,
     )

@@ -57,7 +57,6 @@ def run_scenario(
         scenario.name,
         params,
         scenario.run,
-        backend_probe=SERVICE.consume_last_backend,
         cache_probe=SERVICE.cache_info,
     )
     if out_dir:
@@ -239,25 +238,11 @@ register_scenario(Scenario(
 # -- fig6 --------------------------------------------------------------------
 
 
-#: Batch-solver backend selector shared by the sweep-shaped scenarios.
-_BACKEND = ParamSpec(
-    "backend", str, "auto",
-    choices=("auto", "batched", "pool", "serial"),
-    help="batch solver backend (auto = batched on <=2 cores)",
-)
-
-
-def _run_fig6(seed, panel, workers, backend):
+def _run_fig6(seed, panel):
     from repro.experiments.fig6_sweeps import PANEL_ORDER, run_panels
 
     panels = PANEL_ORDER if panel == "all" else (panel,)
-    return run_panels(
-        paper_config(seed=seed),
-        panels=panels,
-        workers=workers,
-        backend=backend,
-        service=SERVICE,
-    )
+    return run_panels(paper_config(seed=seed), panels=panels, service=SERVICE)
 
 
 register_scenario(Scenario(
@@ -270,9 +255,6 @@ register_scenario(Scenario(
             choices=("bandwidth", "power", "client_cpu", "server_cpu", "all"),
             help="which sweep panel to run",
         ),
-        ParamSpec("workers", int, 1,
-                  help="fan sweep points out over N worker processes"),
-        _BACKEND,
     ),
     run=_run_fig6,
     render=lambda sweep_set: sweep_set.render(),
@@ -283,18 +265,16 @@ register_scenario(Scenario(
 # -- ablations ---------------------------------------------------------------
 
 
-def _run_ablations(seed, backend):
+def _run_ablations(seed):
     from repro.experiments.ablations import run_ablation_suite
 
-    return run_ablation_suite(
-        paper_config(seed=seed), backend=backend, service=SERVICE
-    )
+    return run_ablation_suite(paper_config(seed=seed), service=SERVICE)
 
 
 register_scenario(Scenario(
     name="ablations",
     help="DESIGN.md §7 ablations: B&B pruning, transform vs direct, weights",
-    params=(_SEED, _BACKEND),
+    params=(_SEED,),
     run=_run_ablations,
     render=lambda suite: suite.render(),
 ))
@@ -303,15 +283,11 @@ register_scenario(Scenario(
 # -- dynamic -----------------------------------------------------------------
 
 
-def _run_dynamic(seed, epochs, backend):
+def _run_dynamic(seed, epochs):
     from repro.experiments.dynamic import run_dynamic_study
 
     return run_dynamic_study(
-        paper_config(seed=seed),
-        num_epochs=epochs,
-        seed=seed,
-        backend=backend,
-        service=SERVICE,
+        paper_config(seed=seed), num_epochs=epochs, seed=seed, service=SERVICE
     )
 
 
@@ -332,7 +308,6 @@ register_scenario(Scenario(
     params=(
         _SEED,
         ParamSpec("epochs", int, 5, help="fading epochs to simulate"),
-        _BACKEND,
     ),
     run=_run_dynamic,
     render=_render_dynamic,
@@ -712,12 +687,12 @@ register_scenario(Scenario(
 # -- report ------------------------------------------------------------------
 
 
-def _run_report(seed, samples, workers, output):
+def _run_report(seed, samples, output):
     import json
 
     from repro.experiments.report import collect_report, report_artifacts, render_report
 
-    bundle = collect_report(seed=seed, fig3_samples=samples, workers=workers)
+    bundle = collect_report(seed=seed, fig3_samples=samples)
     if output:
         out = Path(output)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -734,8 +709,6 @@ register_scenario(Scenario(
     params=(
         _SEED,
         ParamSpec("samples", int, 20, help="Fig. 3 trial count"),
-        ParamSpec("workers", int, 1,
-                  help="worker processes for the embedded Fig. 6 sweeps"),
         ParamSpec("output", str, "",
                   help="write markdown here (parents created); JSON artifacts "
                        "land next to it as <stem>.<section>.json"),

@@ -8,12 +8,11 @@ one object instead of constructing :class:`~repro.core.quhe.QuHE` by hand:
   (nested dataclasses, numpy arrays, and cost-curve callables included), so
   re-solving an identical configuration returns the cached
   :class:`~repro.core.quhe.QuHEResult` object without touching the solver;
-* **batching** — :meth:`SolverService.solve_many` fans independent configs
-  out over a process pool (:func:`repro.utils.parallel.parallel_map`),
-  deduplicates identical configs, preserves input order, and produces
-  results identical to the serial loop;
-* **progress callbacks** — ``progress(done, total)`` fires as batch items
-  complete, for long sweeps driven from a UI or logger.
+* **one solve path** — :meth:`SolverService.solve`,
+  :meth:`~SolverService.solve_many` and :meth:`~SolverService.solve_batch`
+  all fingerprint, de-duplicate, probe the cache and hand the remaining
+  configs to one vectorized :class:`~repro.core.batched.BatchedQuHE` pass
+  (a single solve is the batch of one), preserving input order.
 
 Example::
 
@@ -23,9 +22,7 @@ Example::
     service = SolverService()
     result = service.solve(paper_config(seed=2))      # solved
     again = service.solve(paper_config(seed=2))       # cache hit, same object
-    sweep = service.solve_many(
-        [paper_config(seed=s) for s in range(8)], workers=4
-    )
+    sweep = service.solve_many([paper_config(seed=s) for s in range(8)])
 """
 
 from __future__ import annotations
@@ -33,11 +30,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import threading
-from collections import Counter, OrderedDict
-from itertools import accumulate
-from typing import Any, Dict, List, Optional, Sequence
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +44,6 @@ from repro.core.quhe import QuHE, QuHEResult
 from repro.core.solution import Allocation
 from repro.errors import SolverError
 from repro.quantum.topology import QKDNetwork
-from repro.utils.parallel import ProgressCallback, parallel_map
 
 __all__ = [
     "FingerprintError",
@@ -57,33 +51,7 @@ __all__ = [
     "SolverService",
     "config_fingerprint",
     "canonical_config_dict",
-    "resolve_backend",
 ]
-
-#: Recognised ``solve_many`` backends (besides the "auto" selector).
-BACKENDS = ("batched", "pool", "serial")
-
-
-def resolve_backend(backend: str, workers: Optional[int]) -> str:
-    """Map a requested backend (possibly ``"auto"``) to a concrete one.
-
-    ``auto`` picks the vectorized in-process batch on machines with ≤ 2
-    cores — where a process pool is pure overhead (fork + pickle + import
-    cost with no parallelism to buy; see ``BENCH_solver.json``'s
-    ``workers=2`` row on a 1-core container) — and otherwise honours a
-    ``workers > 1`` request with the pool.  Without a worker request the
-    batched backend wins on any core count: one process, no serialization.
-    """
-    if backend != "auto":
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from "
-                f"{('auto',) + BACKENDS}"
-            )
-        return backend
-    if workers is not None and workers > 1 and (os.cpu_count() or 1) > 2:
-        return "pool"
-    return "batched"
 
 
 class FingerprintError(ValueError):
@@ -193,31 +161,6 @@ def _degraded_solve(
     return dataclasses.replace(solver.solve(initial), degraded=True)
 
 
-def _solve_config(config: SystemConfig) -> QuHEResult:
-    """One full QuHE solve (module-level: picklable for process pools).
-
-    This is the ``worker.solve`` fault seam (it executes inside pool worker
-    processes for the pool backend, in-process otherwise), and the seat of
-    solver degradation: an IPM :class:`~repro.errors.SolverError` falls back
-    to :func:`_degraded_solve` instead of crashing the sweep.
-    """
-    _faults.fire("worker.solve")
-    try:
-        return QuHE(config).solve()
-    except SolverError:
-        return _degraded_solve(config)
-
-
-def _solve_config_warm(task) -> QuHEResult:
-    """A (config, initial-allocation) solve, picklable for process pools."""
-    config, initial = task
-    _faults.fire("worker.solve")
-    try:
-        return QuHE(config).solve(initial)
-    except SolverError:
-        return _degraded_solve(config, initial)
-
-
 class LRUResultCache:
     """The default in-memory result-cache backend: a bounded LRU dict.
 
@@ -284,17 +227,9 @@ class SolverService:
         self._hits = 0
         self._misses = 0
         self._coalesced = 0
-        #: The concrete backend used by the most recent :meth:`solve_many`
-        #: (recorded into :class:`~repro.api.artifacts.RunRecord`).
-        self.last_backend: Optional[str] = None
         # Persistent batch solver: its Stage-1 dedup cache survives across
         # calls, so repeated sweeps over one network skip the convex solve.
         self._batched = BatchedQuHE()
-
-    def consume_last_backend(self) -> Optional[str]:
-        """Return and clear the backend chosen by the last batch solve."""
-        backend, self.last_backend = self.last_backend, None
-        return backend
 
     # -- cache plumbing -----------------------------------------------------
 
@@ -412,18 +347,12 @@ class SolverService:
 
     # -- solving ------------------------------------------------------------
 
-    def solve(
-        self,
-        config: SystemConfig,
-        *,
-        initial: Optional[Allocation] = None,
-        use_cache: bool = True,
-    ) -> QuHEResult:
+    def solve(self, config: SystemConfig, *, use_cache: bool = True) -> QuHEResult:
         """Solve one configuration (cached on the config fingerprint).
 
-        A custom ``initial`` allocation bypasses the cache in both
-        directions: the warm start can change the trajectory, so its result
-        neither reads from nor populates the fingerprint cache.
+        The batch of one: the same path as :meth:`solve_many`, so a config
+        gets the same answer alone as inside any batch.  Warm starts go
+        through ``solve_many(configs, initials=...)``.
 
         Re-solving a fingerprint-identical config returns the cached
         result object without touching the solver:
@@ -438,190 +367,50 @@ class SolverService:
         >>> service.cache_info()
         {'hits': 1, 'misses': 1, 'coalesced': 0, 'size': 1}
         """
-        if initial is not None:
-            try:
-                return QuHE(config).solve(initial)
-            except SolverError:
-                return _degraded_solve(config, initial)
-        try:
-            key = config_fingerprint(config)
-        except FingerprintError:
-            return _solve_config(config)
-        if use_cache:
-            cached = self._cache_get(key)
-            if cached is not None:
-                return cached
-        result = _solve_config(config)
-        if use_cache:
-            self._cache_put(key, result)
-        return result
+        return self._solve([config], use_cache=use_cache)[0]
 
     def solve_many(
         self,
         configs: Sequence[SystemConfig],
         *,
-        backend: str = "auto",
-        workers: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
         use_cache: bool = True,
         initials: Optional[Sequence[Optional[Allocation]]] = None,
         count_cache_stats: bool = True,
     ) -> List[QuHEResult]:
-        """Solve a batch of configurations through the chosen backend.
+        """Solve a list of configurations in one vectorized pass.
+
+        Results come back in input order; configs of different shapes are
+        grouped internally.  Fingerprint-identical configs are solved once
+        and share one result object; cached entries skip the solve.
+
+        ``initials`` warm-starts configs from the given allocations (None
+        entries start cold).  A warm start can change the trajectory, so a
+        warm-started config neither reads from nor populates the cache.
 
         ``count_cache_stats=False`` makes cache probes and in-batch dedup
         invisible to :meth:`cache_info` — for callers (the serve daemon)
         that already counted each logical request at their own boundary and
         would otherwise book the same request twice.
 
-        ``backend`` is one of ``"batched"`` (stack all pending configs into
-        one vectorized :class:`~repro.core.batched.BatchedQuHE` pass),
-        ``"pool"`` (fan out over ``workers`` processes), ``"serial"`` (plain
-        loop), or ``"auto"`` — which picks ``batched`` on machines with ≤ 2
-        cores (where a pool is pure overhead) and otherwise honours a
-        ``workers > 1`` request with the pool.  The concrete choice is
-        recorded in :attr:`last_backend`.
-
-        Results come back in input order; the batched backend agrees with
-        the serial loop within 1e-9 on the objective (identical λ), the
-        pool bit-for-bit.  Fingerprint-identical configs are solved once;
-        cached entries skip the solve entirely.  ``progress(done, total)``
-        counts *input* configs as their results become available.
-
         Duplicates in the batch map to one solve and one shared result
-        object, and the progress callback ends on exactly ``(total,
-        total)``:
+        object:
 
         >>> from repro.core.config import paper_config
         >>> service = SolverService()
         >>> configs = [paper_config(seed=2), paper_config(seed=2),
         ...            paper_config(seed=3)]
-        >>> ticks = []
-        >>> results = service.solve_many(
-        ...     configs, progress=lambda done, total: ticks.append((done, total)))
+        >>> results = service.solve_many(configs)
         >>> len(results), results[0] is results[1]
         (3, True)
-        >>> ticks[-1]
-        (3, 3)
-        >>> service.last_backend in ("batched", "pool", "serial")
-        True
+        >>> service.cache_info()["coalesced"]
+        1
         """
-        chosen = resolve_backend(backend, workers)
-        if chosen == "pool":
-            # An explicit pool request without a worker count means "use the
-            # machine"; if that still yields no parallelism the run is
-            # serial and must be recorded as such.
-            if workers is None or workers < 2:
-                workers = os.cpu_count() or 1
-            if workers < 2:
-                chosen = "serial"
-        self.last_backend = chosen
-        if initials is None:
-            initials = [None] * len(configs)
-        elif len(initials) != len(configs):
-            raise ValueError("initials must align with configs")
-        keys: List[str] = []
-        cacheable: List[bool] = []
-        for i, cfg in enumerate(configs):
-            if initials[i] is not None:
-                # Warm starts can change the trajectory, so (as in solve())
-                # they bypass the fingerprint cache in both directions.
-                keys.append(f"__warm_{i}__")
-                cacheable.append(False)
-                continue
-            try:
-                keys.append(config_fingerprint(cfg))
-                cacheable.append(True)
-            except FingerprintError:
-                # No stable identity: a unique per-index key keeps the item
-                # in the batch but out of the cache and dedup.
-                keys.append(f"__uncacheable_{i}__")
-                cacheable.append(False)
-        total = len(configs)
-        counts = Counter(keys)
-        # Duplicate fingerprints inside one batch share a single solve; count
-        # them as coalesced requests (the serve daemon adds its own in-flight
-        # merges on top via note_coalesced).
-        duplicates = total - len(counts)
-        if duplicates and count_cache_stats:
-            self.note_coalesced(duplicates)
-        results: Dict[str, QuHEResult] = {}
-        pending: List[int] = []  # first input index of each unsolved unique key
-        queued = set()
-        for i, key in enumerate(keys):
-            if key in results or key in queued:
-                continue
-            probe = self._cache_get if count_cache_stats else self._cache_peek
-            cached = probe(key) if use_cache and cacheable[i] else None
-            if cached is not None:
-                results[key] = cached
-            else:
-                queued.add(key)
-                pending.append(i)
-        # Cached (and their duplicate) items are "done" before solving starts.
-        done = sum(counts[key] for key in results)
-        if progress is not None and done:
-            progress(done, total)
-        if pending:
-            # done-count after each completed unique pending solve, duplicates
-            # included, so the final tick reports exactly (total, total).
-            ticks = list(accumulate(counts[keys[i]] for i in pending))
-
-            def _tick(completed: int, _n: int) -> None:
-                if progress is not None:
-                    progress(done + ticks[completed - 1], total)
-
-            pending_configs = [configs[i] for i in pending]
-            pending_initials = [initials[i] for i in pending]
-            if chosen == "batched":
-                # Per-config ticks, not one callback for the whole batch:
-                # shape groups may complete out of pending order, so count
-                # each config's duplicates as *its* result appears instead
-                # of assuming pending-order completion like the pool path.
-                state = {"done": done}
-
-                def _on_config(position: int) -> None:
-                    state["done"] += counts[keys[pending[position]]]
-                    if progress is not None:
-                        progress(state["done"], total)
-
-                try:
-                    solved = self._batched.solve_batch(
-                        pending_configs,
-                        initials=pending_initials,
-                        on_config=_on_config if progress is not None else None,
-                    )
-                except SolverError:
-                    # One pathological config poisons the whole vectorized
-                    # pass; re-solve the pending set per config so healthy
-                    # members complete on the primary path and only the
-                    # failing one takes the degraded fallback.
-                    solved = [
-                        _solve_config(cfg) if init is None
-                        else _solve_config_warm((cfg, init))
-                        for cfg, init in zip(pending_configs, pending_initials)
-                    ]
-                    if progress is not None:
-                        progress(total, total)
-            elif any(initial is not None for initial in pending_initials):
-                solved = parallel_map(
-                    _solve_config_warm,
-                    list(zip(pending_configs, pending_initials)),
-                    workers=workers if chosen == "pool" else None,
-                    progress=_tick,
-                )
-            else:
-                solved = parallel_map(
-                    _solve_config,
-                    pending_configs,
-                    workers=workers if chosen == "pool" else None,
-                    progress=_tick,
-                )
-            for i, result in zip(pending, solved):
-                results[keys[i]] = result
-                if use_cache and cacheable[i]:
-                    self._cache_put(keys[i], result)
-        return [results[key] for key in keys]
+        return self._solve(
+            configs,
+            use_cache=use_cache,
+            initials=initials,
+            count_cache_stats=count_cache_stats,
+        )
 
     def solve_batch(
         self,
@@ -636,27 +425,62 @@ class SolverService:
         feed :meth:`BatchedQuHE.solve_config_batch` directly — no per-call
         object→array stacking, no shape regrouping — and the result is a
         :class:`~repro.core.batch.SolutionBatch` whose ``[i]`` views equal
-        the scalar results.  Fingerprint caching, dedup and the degraded
-        per-config fallback behave exactly as in :meth:`solve_many`.
+        the scalar results.  Caching and dedup behave as in
+        :meth:`solve_many`.
         """
-        self.last_backend = "batched"
-        k = len(batch)
+        return self._solve(
+            batch, use_cache=use_cache, count_cache_stats=count_cache_stats
+        )
+
+    def _solve(
+        self,
+        configs: Union[Sequence[SystemConfig], ConfigBatch],
+        *,
+        use_cache: bool,
+        initials: Optional[Sequence[Optional[Allocation]]] = None,
+        count_cache_stats: bool = True,
+    ) -> Union[List[QuHEResult], SolutionBatch]:
+        """The one solve path behind every entry point.
+
+        Each input gets a key: its fingerprint, or a unique per-index key
+        when it is warm-started or unfingerprintable (solved, but never
+        cached or merged).  Duplicate keys share one solve and one result
+        object; cache hits skip the solve.  The remaining configs fire the
+        ``worker.solve`` fault seam once each and run as one
+        :class:`BatchedQuHE` pass — ``solve_config_batch`` for a
+        :class:`ConfigBatch`, the shape-grouped ``solve_batch`` for a list.
+
+        Returns one result per input, in input order: a list, or a
+        :class:`SolutionBatch` for a :class:`ConfigBatch` (the solver's own
+        columns when every input was a distinct miss).
+        """
+        k = len(configs)
+        if initials is None:
+            initials = [None] * k
+        elif len(initials) != k:
+            raise ValueError("initials must align with configs")
         keys: List[str] = []
         cacheable: List[bool] = []
         for i in range(k):
+            if initials[i] is not None:
+                keys.append(f"__warm_{i}__")
+                cacheable.append(False)
+                continue
             try:
-                keys.append(config_fingerprint(batch[i]))
+                keys.append(config_fingerprint(configs[i]))
                 cacheable.append(True)
             except FingerprintError:
                 keys.append(f"__uncacheable_{i}__")
                 cacheable.append(False)
-        counts = Counter(keys)
-        duplicates = k - len(counts)
+        # Duplicate fingerprints inside one batch share a single solve; count
+        # them as coalesced requests (the serve daemon adds its own in-flight
+        # merges on top via note_coalesced).
+        duplicates = k - len(set(keys))
         if duplicates and count_cache_stats:
             self.note_coalesced(duplicates)
         probe = self._cache_get if count_cache_stats else self._cache_peek
         results: Dict[str, QuHEResult] = {}
-        pending: List[int] = []
+        pending: List[int] = []  # first input index of each unsolved key
         queued = set()
         for i, key in enumerate(keys):
             if key in results or key in queued:
@@ -667,28 +491,50 @@ class SolverService:
             else:
                 queued.add(key)
                 pending.append(i)
-        if len(pending) == k:
-            # Full miss, no duplicates: the solver's SolutionBatch IS the
-            # answer — hand its columns back without any re-assembly.
-            try:
-                solution = self._batched.solve_config_batch(batch)
-            except SolverError:
-                solved = [_solve_config(batch[i]) for i in range(k)]
-                solution = SolutionBatch.from_results(solved)
-            if use_cache:
-                for i in range(k):
-                    if cacheable[i]:
-                        self._cache_put(keys[i], solution[i])
-            return solution
+        solution: Optional[SolutionBatch] = None
         if pending:
-            sub = batch.select(pending)
+            for _ in pending:
+                _faults.fire("worker.solve")
+            starts = [initials[i] for i in pending]
             try:
-                solved_batch = self._batched.solve_config_batch(sub)
-                solved = [solved_batch[j] for j in range(len(pending))]
+                if isinstance(configs, ConfigBatch):
+                    sub = (
+                        configs if len(pending) == k
+                        else configs.select(pending)
+                    )
+                    solution = self._batched.solve_config_batch(sub, starts)
+                    solved = solution.to_results()
+                else:
+                    solved = self._batched.solve_batch(
+                        [configs[i] for i in pending], starts
+                    )
             except SolverError:
-                solved = [_solve_config(batch[i]) for i in pending]
+                # One pathological config poisons the whole vectorized pass:
+                # re-solve per config so healthy members complete on the
+                # primary path and only a failing one degrades.  A batch of
+                # one has already failed on its own and degrades directly.
+                solved = [
+                    self._solve_alone(configs[i], initials[i])
+                    if len(pending) > 1
+                    else _degraded_solve(configs[i], initials[i])
+                    for i in pending
+                ]
             for i, result in zip(pending, solved):
                 results[keys[i]] = result
                 if use_cache and cacheable[i]:
                     self._cache_put(keys[i], result)
-        return SolutionBatch.from_results([results[key] for key in keys])
+        ordered = [results[key] for key in keys]
+        if not isinstance(configs, ConfigBatch):
+            return ordered
+        if solution is not None and len(pending) == k:
+            return solution
+        return SolutionBatch.from_results(ordered)
+
+    def _solve_alone(
+        self, config: SystemConfig, initial: Optional[Allocation]
+    ) -> QuHEResult:
+        """Batched K=1, degrading to the SLSQP path on a SolverError."""
+        try:
+            return self._batched.solve_batch([config], [initial])[0]
+        except SolverError:
+            return _degraded_solve(config, initial)

@@ -60,7 +60,6 @@ class CampaignResult:
     base: Dict[str, Any]
     axes: Dict[str, List[Any]]
     seeds: List[int]
-    backend: str
     cells_total: int
     cells_completed: int
     #: cells quarantined after exhausting their retry budget — reported as a
@@ -196,7 +195,6 @@ def aggregate_cells(
         base=dict(spec.base),
         axes={name: list(values) for name, values in spec.axes.items()},
         seeds=[int(s) for s in spec.seeds],
-        backend=spec.backend,
         cells_total=spec.num_cells,
         cells_completed=seen,
         points=points,

@@ -51,7 +51,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro import faults as _faults
 from repro.api.artifacts import RECORD_FILENAME, RunRecord, record_run
 from repro.campaign.result import CampaignResult, aggregate_cells
-from repro.campaign.spec import CampaignSpec, Cell, load_spec
+from repro.campaign.spec import (
+    LEGACY_SPEC_KEYS,
+    CampaignSpec,
+    Cell,
+    load_spec,
+)
 from repro.io import atomic_write_text
 from repro.utils.retry import RetryPolicy, retry_call
 
@@ -269,25 +274,21 @@ class CampaignRunner:
     ) -> List[Any]:
         """Solve one canonical chunk batch, streamed through npz artifacts.
 
-        With the batched backend and a uniform-shape batch, the chunk's
-        canonical results persist as one columnar ``solution_batch`` npz
-        under ``out_dir/canonical/``: a resumed run memory-maps the
-        artifact back instead of re-solving, and the loaded views carry
-        the exact floats of the original solve (byte-identical records).
-        A corrupt or missing artifact silently falls back to solving.
+        A uniform-shape batch's canonical results persist as one columnar
+        ``solution_batch`` npz under ``out_dir/canonical/``: a resumed run
+        memory-maps the artifact back instead of re-solving, and the
+        loaded views carry the exact floats of the original solve
+        (byte-identical records).  A corrupt or missing artifact silently
+        falls back to solving.
         """
-        from repro.api.service import resolve_backend
         from repro.core.batch import ConfigBatch
         from repro.errors import ArtifactError
 
-        chosen = resolve_backend(self.spec.backend, None)
         shapes = {
             (c.num_clients, len(c.cost_model.lambda_set)) for c in configs
         }
-        if chosen != "batched" or len(shapes) != 1:
-            return self.service.solve_many(
-                configs, backend=self.spec.backend, use_cache=False
-            )
+        if len(shapes) != 1:
+            return self.service.solve_many(configs, use_cache=False)
         from repro import io as repro_io
 
         path: Optional[Path] = None
@@ -301,9 +302,6 @@ class CampaignRunner:
                 except (ArtifactError, OSError, ValueError):
                     solution = None
                 if solution is not None and len(solution) == len(configs):
-                    # Mirror what the solve would have recorded, so resumed
-                    # cells see the same backend probe in their records.
-                    self.service.last_backend = "batched"
                     return [solution[i] for i in range(len(configs))]
         solution = self.service.solve_batch(
             ConfigBatch.from_configs(configs), use_cache=False
@@ -435,7 +433,13 @@ class CampaignRunner:
                 # an injected fault) carries no identity to compare against;
                 # rewriting it is the only way forward.
                 existing = {"spec": payload["spec"]}
-            if existing.get("spec") != payload["spec"]:
+            spec = existing.get("spec")
+            if isinstance(spec, dict):
+                spec = {
+                    key: value for key, value in spec.items()
+                    if key not in LEGACY_SPEC_KEYS
+                }
+            if spec != payload["spec"]:
                 raise ValueError(
                     f"{path}: directory already holds a different campaign "
                     f"({existing.get('spec', {}).get('name')!r}); refusing "
@@ -470,12 +474,7 @@ class CampaignRunner:
         from repro.api import get_scenario
 
         scenario = get_scenario(cell.scenario)
-        return record_run(
-            scenario.name,
-            dict(cell.params),
-            scenario.run,
-            backend_probe=self.service.consume_last_backend,
-        )
+        return record_run(scenario.name, dict(cell.params), scenario.run)
 
     def _attempt_cell(
         self, cell: Cell

@@ -37,6 +37,10 @@ __all__ = ["CampaignSpec", "Cell", "demo_spec", "load_spec"]
 #: one canonical prefetch batch + its serial cell runs).
 DEFAULT_CHUNK_SIZE = 16
 
+#: Keys older specs carry that no longer select anything (``backend`` chose
+#: the prefetch solver); loading and resuming accept and ignore them.
+LEGACY_SPEC_KEYS = frozenset({"backend"})
+
 
 def _params_digest(scenario: str, params: Mapping[str, Any]) -> str:
     blob = json.dumps({"scenario": scenario, "params": params},
@@ -79,8 +83,6 @@ class CampaignSpec:
     axes: Dict[str, List[Any]] = field(default_factory=dict)
     #: replication seeds (one cell per grid point per seed)
     seeds: Tuple[int, ...] = (0, 1, 2, 3)
-    #: batch-solver backend for the canonical baseline prefetch
-    backend: str = "auto"
     #: cells per execution chunk (canonical prefetch granularity)
     chunk_size: int = DEFAULT_CHUNK_SIZE
     #: restrict aggregation to these metrics (empty = every scalar metric)
@@ -195,7 +197,6 @@ class CampaignSpec:
             "base": dict(self.base),
             "axes": {name: list(values) for name, values in self.axes.items()},
             "seeds": [int(s) for s in self.seeds],
-            "backend": self.backend,
             "chunk_size": self.chunk_size,
             "metrics": list(self.metrics),
             "max_retries": self.max_retries,
@@ -207,10 +208,11 @@ class CampaignSpec:
 
         ``{"seeds": 8}`` means eight replications at ``seed_base``,
         ``seed_base + 1``, … (``seed_base`` defaults to 0); an explicit
-        list pins the seeds directly.
+        list pins the seeds directly.  :data:`LEGACY_SPEC_KEYS` are
+        accepted and ignored.
         """
         known = {"name", "scenario", "base", "axes", "seeds", "seed_base",
-                 "backend", "chunk_size", "metrics", "max_retries"}
+                 "chunk_size", "metrics", "max_retries", *LEGACY_SPEC_KEYS}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
@@ -229,7 +231,6 @@ class CampaignSpec:
             base=dict(data.get("base", {})),
             axes={k: list(v) for k, v in data.get("axes", {}).items()},
             seeds=tuple(int(s) for s in seeds),
-            backend=data.get("backend", "auto"),
             chunk_size=int(data.get("chunk_size", DEFAULT_CHUNK_SIZE)),
             metrics=tuple(data.get("metrics", ())),
             max_retries=int(data.get("max_retries", 2)),

@@ -35,7 +35,7 @@ Surfaces
 Examples::
 
     python -m repro solve --seed 2
-    python -m repro run fig6 --set panel=bandwidth --set workers=4 --json
+    python -m repro run fig6 --set panel=bandwidth --json
     python -m repro run fig3 --set samples=100 --out runs/
     python -m repro report --samples 20 --output out/report.md
 """

@@ -25,7 +25,7 @@ from repro.core.stage2 import BranchAndBoundSolver, ExhaustiveSolver, Stage2Resu
 from repro.core.stage3 import Stage3Result, Stage3Solver
 from repro.core.quhe import QuHE, QuHEResult
 from repro.core.batch import ConfigBatch, SolutionBatch
-from repro.core.batched import BatchedQuHE, solve_batch
+from repro.core.batched import BatchedQuHE
 from repro.core.baselines import (
     average_allocation,
     occr_baseline,
@@ -41,7 +41,6 @@ __all__ = [
     "BatchedQuHE",
     "ConfigBatch",
     "SolutionBatch",
-    "solve_batch",
     "Allocation",
     "BranchAndBoundSolver",
     "ConstraintReport",

@@ -32,7 +32,7 @@ solved as one batch; results always come back in input order.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.core.stage3 import Stage3Result
 from repro.core.stage3_ipm import Stage3Constants, solve_stage3_batch
 from repro.wireless.rate import uplink_rate
 
-__all__ = ["BatchedQuHE", "solve_batch"]
+__all__ = ["BatchedQuHE"]
 
 #: Above this many λ assignments the vectorized Stage-2 enumeration falls
 #: back to the scalar branch-and-bound (memory bound: K · m^n floats).
@@ -88,29 +88,17 @@ class BatchedQuHE:
         self,
         configs: Sequence[SystemConfig],
         initials: Optional[Sequence[Optional[Allocation]]] = None,
-        *,
-        on_config: Optional[Callable[[int], None]] = None,
     ) -> List[QuHEResult]:
-        """Solve every config; results come back in input order.
-
-        ``on_config(index)`` fires once per input config, with its batch
-        index, as soon as its result exists — i.e. when the shape group it
-        belongs to completes.  Groups finish in first-appearance order, so
-        callers get per-config completion ticks rather than one callback
-        for the whole batch (see ``SolverService.solve_many`` progress).
-        """
+        """Solve every config; results come back in input order."""
         if initials is None:
             initials = [None] * len(configs)
         if len(initials) != len(configs):
             raise ValueError("initials must align with configs")
         if isinstance(configs, ConfigBatch):
-            solution = self.solve_config_batch(
-                configs, initials, on_config=on_config
-            )
-            return solution.to_results()
+            return self.solve_config_batch(configs, initials).to_results()
         # Shape-group batching on index masks: one (num_clients, m) key row
         # per config, np.unique for the group ids, groups visited in
-        # first-appearance order (the documented completion order).
+        # first-appearance order.
         shape_keys = np.array(
             [
                 [cfg.num_clients, len(cfg.cost_model.lambda_set)]
@@ -131,16 +119,12 @@ class BatchedQuHE:
             )
             for j, i in enumerate(indices):
                 results[int(i)] = solution[j]
-                if on_config is not None:
-                    on_config(int(i))
         return results  # type: ignore[return-value]
 
     def solve_config_batch(
         self,
         batch: ConfigBatch,
         initials: Optional[Sequence[Optional[Allocation]]] = None,
-        *,
-        on_config: Optional[Callable[[int], None]] = None,
     ) -> SolutionBatch:
         """Solve a columnar batch natively — no per-call stacking at all.
 
@@ -152,11 +136,7 @@ class BatchedQuHE:
             initials = [None] * len(batch)
         if len(initials) != len(batch):
             raise ValueError("initials must align with configs")
-        solution = self._solve_group(batch, list(initials))
-        if on_config is not None:
-            for i in range(len(batch)):
-                on_config(i)
-        return solution
+        return self._solve_group(batch, list(initials))
 
     # -- group solve ------------------------------------------------------------
 
@@ -489,13 +469,3 @@ class BatchedQuHE:
             np.array(n_list),
         )
 
-
-def solve_batch(
-    configs: Sequence[SystemConfig],
-    *,
-    max_outer_iterations: int = 20,
-) -> List[QuHEResult]:
-    """One-shot convenience wrapper around :class:`BatchedQuHE`."""
-    return BatchedQuHE(
-        max_outer_iterations=max_outer_iterations
-    ).solve_batch(configs)

@@ -104,20 +104,18 @@ def weight_sensitivity(
     config: SystemConfig,
     alpha_msl_values: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2),
     *,
-    backend: str = "auto",
     service: Optional["SolverService"] = None,
 ) -> List[WeightPoint]:
     """Sweep α_msl and record the λ profile QuHE selects at each value.
 
     The sweep points are independent, so they run as one
-    :meth:`~repro.api.service.SolverService.solve_many` batch — vectorized
-    on small machines, pooled or serial on request.
+    :meth:`~repro.api.service.SolverService.solve_many` batch.
     """
     from repro.api.service import SolverService
 
     cfgs = [replace(config, alpha_msl=float(alpha)) for alpha in alpha_msl_values]
     svc = service if service is not None else SolverService()
-    results = svc.solve_many(cfgs, backend=backend)
+    results = svc.solve_many(cfgs)
     return [
         WeightPoint(
             alpha_msl=float(alpha),
@@ -182,16 +180,12 @@ def run_ablation_suite(
     config: SystemConfig,
     *,
     alpha_msl_values: Sequence[float] = (0.01, 0.05, 0.1),
-    backend: str = "auto",
     service: Optional["SolverService"] = None,
 ) -> AblationSuite:
     """Run every ablation on ``config`` (from QuHE's own starting point)."""
     alloc = QuHE(config).initial_allocation()
     points = weight_sensitivity(
-        config,
-        alpha_msl_values=alpha_msl_values,
-        backend=backend,
-        service=service,
+        config, alpha_msl_values=alpha_msl_values, service=service
     )
     return AblationSuite(
         bnb=bnb_vs_exhaustive(config, alloc),

@@ -5,7 +5,7 @@ experiment extends the evaluation (the "dynamic and resource-constrained
 environments" the paper's introduction motivates) by re-drawing the
 small-scale fading every epoch and comparing:
 
-* **adaptive** — re-run QuHE each epoch (warm-started from the previous
+* **adaptive** — re-run QuHE each epoch (warm-started from the epoch-0
   allocation),
 * **static** — keep the epoch-0 allocation for the whole horizon (resources
   frozen, as a deployment without re-optimization would),
@@ -69,7 +69,6 @@ def run_dynamic_study(
     *,
     num_epochs: int = 5,
     seed: SeedLike = 0,
-    backend: str = "auto",
     service: Optional["SolverService"] = None,
 ) -> DynamicStudy:
     """Simulate ``num_epochs`` of block fading over ``config``'s placements.
@@ -80,13 +79,9 @@ def run_dynamic_study(
 
     The fading draws do not depend on the solves, so every epoch's config
     is known upfront and the adaptive re-optimizations form one
-    :meth:`~repro.api.service.SolverService.solve_many` batch (the default
-    on small machines).  ``backend="serial"`` instead re-solves epoch by
-    epoch, warm-starting each solve from the previous allocation — the
-    operational loop a deployment would run; both reach the same optima
-    within solver tolerance.
+    :meth:`~repro.api.service.SolverService.solve_many` batch.
     """
-    from repro.api.service import SolverService, resolve_backend
+    from repro.api.service import SolverService
 
     if num_epochs < 1:
         raise ValueError("need at least one epoch")
@@ -102,26 +97,17 @@ def run_dynamic_study(
         epoch_configs.append(
             replace(config, channel_gains=config.channel_gains * fading)
         )
-    chosen = resolve_backend(backend, None)
     adaptive: List[Tuple[float, Allocation]] = [
         (baseline.objective, static_alloc)  # the epoch-0 adaptive policy
     ]
-    if chosen == "serial":
-        previous: Allocation = static_alloc
-        for cfg in epoch_configs[1:]:
-            result = QuHE(cfg).solve(previous.with_updates(T=None))
-            adaptive.append((result.objective, result.allocation))
-            previous = result.allocation
-    elif num_epochs > 1:
+    if num_epochs > 1:
         # All epochs warm-start from the epoch-0 optimum: the alternation
         # improves monotonically from there, so adaptive ≥ static holds per
         # epoch by construction, and the solves batch (no serial chain).
         svc = service if service is not None else SolverService()
         warm = static_alloc.with_updates(T=None)
         for result in svc.solve_many(
-            epoch_configs[1:],
-            backend=chosen,
-            initials=[warm] * (num_epochs - 1),
+            epoch_configs[1:], initials=[warm] * (num_epochs - 1)
         ):
             adaptive.append((result.objective, result.allocation))
     epochs: List[EpochResult] = []

@@ -12,29 +12,21 @@ Stage-1 block does not depend on any swept quantity, so its solution is
 computed once and shared (exactly the paper's "optimal U_qkd from Stage 1"
 convention).
 
-Sweep points are independent, so :func:`sweep` accepts ``workers=N`` to fan
-them out over :func:`repro.utils.parallel.parallel_map` (the CLI exposes
-this as ``repro run fig6 --set workers=N``); :func:`run_panels` bundles the
-four panels into one :class:`SweepSet` result for the scenario registry.
+Sweep points are independent, so :func:`sweep` solves each panel's grid as
+one batch; :func:`run_panels` bundles the four panels into one
+:class:`SweepSet` result for the scenario registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.baselines import (
-    average_allocation,
-    baselines_batch,
-    occr_baseline,
-    olaa_baseline,
-)
+from repro.core.baselines import baselines_batch
 from repro.core.config import SystemConfig
-from repro.core.quhe import QuHE
 from repro.core.stage1 import Stage1Result, Stage1Solver
-from repro.utils.parallel import parallel_map
 from repro.utils.tables import format_table
 
 #: Canonical panel order of Fig. 6(a)-(d).
@@ -80,43 +72,24 @@ class SweepSeries:
         return format_table(headers, rows, title=f"Fig. 6 sweep: {self.parameter}")
 
 
-def _solve_point(
-    args: Tuple[str, float, SystemConfig, Stage1Result]
-) -> Dict[str, float]:
-    """All four methods at one sweep point (top-level: picklable for pools)."""
-    parameter, value, config, s1 = args
-    cfg = _MODIFIERS[parameter](config, float(value))
-    return {
-        "AA": average_allocation(cfg, stage1_result=s1).objective,
-        "OLAA": olaa_baseline(cfg, stage1_result=s1).objective,
-        "OCCR": occr_baseline(cfg, stage1_result=s1).objective,
-        "QuHE": QuHE(cfg).solve().objective,
-    }
-
-
 def sweep(
     parameter: str,
     config: SystemConfig,
     *,
     values: Optional[Sequence[float]] = None,
     stage1_result: Optional[Stage1Result] = None,
-    workers: Optional[int] = None,
-    backend: str = "auto",
     service: Optional["SolverService"] = None,
 ) -> SweepSeries:
     """Run one Fig.-6 panel: all four methods across the parameter grid.
 
-    The sweep points form one batch: with the (default-on-small-machines)
-    ``batched`` backend the QuHE solves run as a single vectorized pass
-    through :meth:`~repro.api.service.SolverService.solve_many` and the
-    OCCR Stage-3 solves through :func:`~repro.core.baselines.baselines_batch`
-    — one Stage-3 price for the whole grid instead of one per point.
-    ``backend="pool"`` (or ``auto`` with ``workers > 1`` on a multi-core
-    machine) restores the per-point process fan-out; ``"serial"`` the plain
-    loop.  All backends agree within solver tolerance and preserve grid
-    order; every point shares the same Stage-1 solution.
+    The sweep points form one batch: the QuHE solves run as a single
+    vectorized pass through
+    :meth:`~repro.api.service.SolverService.solve_many` and the OCCR
+    Stage-3 solves through :func:`~repro.core.baselines.baselines_batch` —
+    one Stage-3 price for the whole grid instead of one per point.  Grid
+    order is preserved; every point shares the same Stage-1 solution.
     """
-    from repro.api.service import SolverService, resolve_backend
+    from repro.api.service import SolverService
 
     if parameter not in _MODIFIERS:
         raise ValueError(
@@ -126,27 +99,15 @@ def sweep(
         PAPER_SWEEPS[parameter] if values is None else values, dtype=float
     )
     s1 = stage1_result or Stage1Solver(config).solve()
-    chosen = resolve_backend(backend, workers)
-    if chosen == "batched":
-        cfgs = [_MODIFIERS[parameter](config, float(v)) for v in grid]
-        svc = service if service is not None else SolverService()
-        quhe_results = svc.solve_many(cfgs, backend="batched")
-        base = baselines_batch(cfgs, stage1_results=[s1] * len(cfgs))
-        objectives: Dict[str, List[float]] = {
-            "AA": [b["AA"].objective for b in base],
-            "OLAA": [b["OLAA"].objective for b in base],
-            "OCCR": [b["OCCR"].objective for b in base],
-            "QuHE": [r.objective for r in quhe_results],
-        }
-        return SweepSeries(
-            parameter=parameter, x_values=grid, objectives=objectives
-        )
-    tasks = [(parameter, float(v), config, s1) for v in grid]
-    per_point = parallel_map(
-        _solve_point, tasks, workers=workers if chosen == "pool" else None
-    )
-    objectives = {
-        m: [point[m] for point in per_point] for m in ("AA", "OLAA", "OCCR", "QuHE")
+    cfgs = [_MODIFIERS[parameter](config, float(v)) for v in grid]
+    svc = service if service is not None else SolverService()
+    quhe_results = svc.solve_many(cfgs)
+    base = baselines_batch(cfgs, stage1_results=[s1] * len(cfgs))
+    objectives: Dict[str, List[float]] = {
+        "AA": [b["AA"].objective for b in base],
+        "OLAA": [b["OLAA"].objective for b in base],
+        "OCCR": [b["OCCR"].objective for b in base],
+        "QuHE": [r.objective for r in quhe_results],
     }
     return SweepSeries(parameter=parameter, x_values=grid, objectives=objectives)
 
@@ -170,8 +131,6 @@ def run_panels(
     config: SystemConfig,
     *,
     panels: Sequence[str] = PANEL_ORDER,
-    workers: Optional[int] = None,
-    backend: str = "auto",
     stage1_result: Optional[Stage1Result] = None,
     service: Optional["SolverService"] = None,
 ) -> SweepSet:
@@ -179,14 +138,7 @@ def run_panels(
     s1 = stage1_result or Stage1Solver(config).solve()
     return SweepSet(
         panels={
-            name: sweep(
-                name,
-                config,
-                stage1_result=s1,
-                workers=workers,
-                backend=backend,
-                service=service,
-            )
+            name: sweep(name, config, stage1_result=s1, service=service)
             for name in panels
         }
     )

@@ -60,7 +60,6 @@ def collect_report(
     seed: int = 2,
     fig3_samples: int = 20,
     config: Optional[SystemConfig] = None,
-    workers: int = 1,
 ) -> ReportBundle:
     """Run the full experiment battery and return the result bundle."""
     cfg = config or paper_config(seed=seed)
@@ -73,7 +72,7 @@ def collect_report(
         convergence=run_convergence(cfg),
         stage_calls=run_stage_call_report(cfg),
         methods=run_method_comparison(cfg),
-        sweeps=run_panels(cfg, workers=workers),
+        sweeps=run_panels(cfg),
     )
 
 
@@ -244,11 +243,8 @@ def generate_report(
     seed: int = 2,
     fig3_samples: int = 20,
     config: Optional[SystemConfig] = None,
-    workers: int = 1,
 ) -> str:
     """Run the full experiment battery and return a markdown report."""
     return render_report(
-        collect_report(
-            seed=seed, fig3_samples=fig3_samples, config=config, workers=workers
-        )
+        collect_report(seed=seed, fig3_samples=fig3_samples, config=config)
     )

@@ -14,7 +14,9 @@ Seams currently wired (see ``docs/robustness.md`` for the contract each
 hardened layer upholds opposite the injector):
 
 ==================  ==========================================================
-``worker.solve``    inside pool workers / serial fallback of ``parallel_map``
+``worker.solve``    once per config :class:`~repro.api.service.SolverService`
+                    solves (never for cache hits or in-batch duplicates),
+                    in-process or inside a supervised worker
 ``solver.stage3``   entry of the batched Stage-3 IPM (``solve_stage3_batch``)
 ``campaign.cell``   around each campaign cell execution (before retry logic)
 ``artifact.write``  inside :func:`repro.io.atomic_write_text` (torn writes)

@@ -11,8 +11,8 @@ Request lifecycle (op ``solve``)::
                         ▼
                   micro-batcher: first entry + up to ``max_batch-1`` more
                   within ``max_wait_ms``  ──►  SolverService.solve_many
-                  (backend="batched", in an executor thread)  ──► fan results
-                  back out to every waiter
+                  (in an executor thread)  ──► fan results back out to
+                  every waiter
 
 Every stage updates counters surfaced by the ``stats`` op and the
 ``repro serve --status`` CLI.  The ``serve.request`` fault seam draws from
@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro.api.service import SolverService, config_fingerprint
-from repro.core.batch import ConfigBatch
 from repro.core.config import SystemConfig
 from repro.errors import (
     ConfigurationError,
@@ -652,28 +651,12 @@ class AllocationServer:
             # retries inside the batch solve must stay invisible or each
             # request would be counted twice (count_cache_stats=False).
             try:
-                shapes = {
-                    (c.num_clients, len(c.cost_model.lambda_set))
-                    for c in configs
-                }
-                if len(shapes) == 1:
-                    # Uniform micro-batch (the common case): stack once into
-                    # a columnar ConfigBatch and solve it natively.
-                    solution = await asyncio.to_thread(
-                        self.service.solve_batch,
-                        ConfigBatch.from_configs(configs),
-                        use_cache=use_cache,
-                        count_cache_stats=False,
-                    )
-                    results = [solution[i] for i in range(len(group))]
-                else:
-                    results = await asyncio.to_thread(
-                        self.service.solve_many,
-                        configs,
-                        backend="batched",
-                        use_cache=use_cache,
-                        count_cache_stats=False,
-                    )
+                results = await asyncio.to_thread(
+                    self.service.solve_many,
+                    configs,
+                    use_cache=use_cache,
+                    count_cache_stats=False,
+                )
             except Exception as exc:  # noqa: BLE001 - fanned out per waiter
                 for e in group:
                     self._inflight.pop(e.key, None)

@@ -126,23 +126,8 @@ def _worker_main(conn) -> None:
             _, job_id, spec_dicts = message
             try:
                 _faults.fire("serve.worker")
-                from repro.core.batch import ConfigBatch
-
                 configs = [ConfigSpec.from_dict(d).build() for d in spec_dicts]
-                shapes = {
-                    (c.num_clients, len(c.cost_model.lambda_set))
-                    for c in configs
-                }
-                if len(shapes) == 1:
-                    # Uniform batch: stack once into the columnar core.
-                    solution = service.solve_batch(
-                        ConfigBatch.from_configs(configs), use_cache=False
-                    )
-                    results = [solution[i] for i in range(len(configs))]
-                else:
-                    results = service.solve_many(
-                        configs, backend="batched", use_cache=False
-                    )
+                results = service.solve_many(configs, use_cache=False)
                 conn.send(
                     ("ok", job_id, [repro_io.result_to_dict(r) for r in results])
                 )

@@ -82,9 +82,6 @@ class SimParams:
     outage_beta_factor: float = 0.25
     #: record the event trace (enables ``trace_digest``; cheap)
     record_trace: bool = True
-    #: batch solver backend for mid-simulation re-optimizations
-    #: (see :meth:`repro.api.service.SolverService.solve_many`)
-    reopt_backend: str = "auto"
     #: when links are down, also solve the candidate recovered worlds in
     #: the same batch so the next recovery re-optimization is a cache hit
     prefetch_recoveries: bool = True
@@ -402,7 +399,6 @@ class QuantumNetworkSimulation:
             try:
                 solved = self.service.solve_many(
                     [candidates[i] for i in pending],
-                    backend=self.params.reopt_backend,
                     initials=[self._warm_start] * len(pending),
                 )
             except Exception:
@@ -412,9 +408,7 @@ class QuantumNetworkSimulation:
                 if keys[0] is None or keys[0] not in self._reopt_memo:
                     try:
                         solved_current = self.service.solve_many(
-                            candidates[:1],
-                            backend=self.params.reopt_backend,
-                            initials=[self._warm_start],
+                            candidates[:1], initials=[self._warm_start]
                         )
                     except Exception:
                         # A transient world (e.g. heavily degraded network)

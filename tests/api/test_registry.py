@@ -95,7 +95,7 @@ class TestBinding:
 
     def test_wrongly_typed_override_rejected_at_bind(self):
         with pytest.raises(ValueError, match="expected int"):
-            get_scenario("fig6").bind({"workers": 2.5})
+            get_scenario("fig6").bind({"seed": 2.5})
 
     def test_registry_rejects_duplicate_names(self):
         registry = ScenarioRegistry()

@@ -9,7 +9,6 @@ from repro.api import RunRecord, SolverService, config_fingerprint, run_scenario
 from repro.api.service import FingerprintError
 from repro.compute.cost_models import CostModel, f_eval_paper
 from repro.core.config import paper_config
-from repro.utils.parallel import parallel_map
 
 
 def _closure_cost_config(seed=2):
@@ -71,7 +70,9 @@ class TestCache:
     def test_warm_start_bypasses_cache(self, typical_cfg):
         service = SolverService()
         baseline = service.solve(typical_cfg)
-        warm = service.solve(typical_cfg, initial=baseline.allocation)
+        (warm,) = service.solve_many(
+            [typical_cfg], initials=[baseline.allocation]
+        )
         assert warm is not baseline
         assert service.cache_info()["size"] == 1
 
@@ -286,19 +287,18 @@ class TestSolveMany:
     def configs(self):
         return [paper_config(seed=s) for s in (2, 3, 2)]
 
-    def test_parallel_identical_to_serial(self, configs):
-        serial = SolverService().solve_many(configs, backend="serial")
-        pooled = SolverService().solve_many(
-            configs, backend="pool", workers=2
-        )
-        batched = SolverService().solve_many(configs, backend="batched")
-        for a, b, c in zip(serial, pooled, batched):
-            # The pool runs the same scalar code bit-for-bit; the batched
-            # backend shares the scalar core within the 1e-9 contract.
-            assert a.objective == pytest.approx(b.objective, rel=1e-12)
-            assert abs(a.objective - c.objective) <= 1e-9
-            assert np.allclose(a.allocation.phi, b.allocation.phi)
-            assert np.allclose(a.allocation.b, b.allocation.b)
+    def test_matches_scalar_reference(self, configs):
+        from repro.core.quhe import QuHE
+
+        batched = SolverService().solve_many(configs)
+        for cfg, result in zip(configs, batched):
+            # The batched path shares the scalar core within the 1e-9
+            # contract and picks the same λ.
+            reference = QuHE(cfg).solve()
+            assert abs(reference.objective - result.objective) <= 1e-9
+            assert np.array_equal(
+                reference.allocation.lam, result.allocation.lam
+            )
 
     def test_duplicates_solved_once_and_shared(self, configs):
         service = SolverService()
@@ -312,49 +312,8 @@ class TestSolveMany:
         results = service.solve_many(configs)
         assert results[0] is first
 
-    def test_progress_reaches_total(self, configs):
-        ticks = []
-        SolverService().solve_many(
-            configs, progress=lambda done, total: ticks.append((done, total))
-        )
-        assert ticks[-1] == (len(configs), len(configs))
-        done_values = [d for d, _ in ticks]
-        assert done_values == sorted(done_values)
-
-    def test_batched_progress_fires_per_config(self):
-        """The batched backend must tick per input config, not once for
-        the whole batch (or once per shape group)."""
-        configs = [paper_config(seed=s) for s in (2, 3, 4)]
-        ticks = []
-        service = SolverService()
-        service.solve_many(
-            configs,
-            backend="batched",
-            progress=lambda done, total: ticks.append((done, total)),
-        )
-        assert service.last_backend == "batched"
-        assert ticks == [(1, 3), (2, 3), (3, 3)]
-
-    def test_batched_progress_counts_duplicates_and_cache_hits(self):
-        """Duplicates and pre-cached configs count toward done on the tick
-        of the config that owns them; the final tick is (total, total)."""
-        service = SolverService()
-        a, b = paper_config(seed=2), paper_config(seed=3)
-        service.solve(a)  # pre-cache a
-        ticks = []
-        service.solve_many(
-            [a, b, a, b],
-            backend="batched",
-            progress=lambda done, total: ticks.append((done, total)),
-        )
-        # a (and its duplicate) are done before solving starts; b's solve
-        # then completes b and its duplicate in one per-config tick.
-        assert ticks[0] == (2, 4)
-        assert ticks[-1] == (4, 4)
-
-    def test_batched_progress_across_shape_groups(self):
-        """A ragged batch spans shape groups; ticks stay per-config and
-        monotonic, ending exactly at (total, total)."""
+    def test_ragged_batch_across_shape_groups(self):
+        """A ragged batch spans shape groups; results keep input order."""
         from repro.quantum.topology import QKDNetwork
 
         small = QKDNetwork.from_edge_list(
@@ -365,16 +324,9 @@ class TestSolveMany:
             paper_config(seed=5, network=small),
             paper_config(seed=3),
         ]
-        ticks = []
-        SolverService().solve_many(
-            configs,
-            backend="batched",
-            progress=lambda done, total: ticks.append((done, total)),
-        )
-        assert len(ticks) == 3
-        assert ticks[-1] == (3, 3)
-        done_values = [d for d, _ in ticks]
-        assert done_values == sorted(done_values)
+        results = SolverService().solve_many(configs)
+        assert [r.allocation.num_clients for r in results] == [6, 1, 6]
+        assert all(r.converged for r in results)
 
 
 class TestSolveBatch:
@@ -384,13 +336,10 @@ class TestSolveBatch:
         from repro.core.batch import ConfigBatch, SolutionBatch
 
         configs = [paper_config(seed=s) for s in (2, 3)]
-        reference = SolverService().solve_many(
-            configs, backend="batched", use_cache=False
-        )
+        reference = SolverService().solve_many(configs, use_cache=False)
         service = SolverService()
         solution = service.solve_batch(ConfigBatch.from_configs(configs))
         assert isinstance(solution, SolutionBatch)
-        assert service.last_backend == "batched"
         for view, ref in zip(solution, reference):
             assert view.objective == ref.objective
         # The batch solve primed the scalar cache: solve() now hits.
@@ -421,19 +370,74 @@ class TestSolveBatch:
         assert info["misses"] == 1
 
 
-class TestParallelMap:
-    def test_order_preserved(self):
-        assert parallel_map(str, [3, 1, 2], workers=2) == ["3", "1", "2"]
+class TestOnePath:
+    """All three entry points reach the same keyed batched solve."""
 
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        offset = 10
-        result = parallel_map(lambda x: x + offset, [1, 2, 3], workers=2)
-        assert result == [11, 12, 13]
+    def test_entry_points_give_equivalent_payloads(self):
+        """A config gets the same answer alone, in a list and in a
+        columnar batch (bytes equal modulo wall-clock fields)."""
+        from repro import io as repro_io
+        from repro.core.batch import ConfigBatch
+        from repro.serve.bench import payloads_equivalent
 
-    def test_progress_serial(self):
-        ticks = []
-        parallel_map(str, [1, 2], progress=lambda d, t: ticks.append((d, t)))
-        assert ticks == [(1, 2), (2, 2)]
+        a, cfg, b = (paper_config(seed=s) for s in (3, 2, 4))
+        alone = SolverService().solve(cfg)
+        in_list = SolverService().solve_many([a, cfg, b])[1]
+        in_batch = SolverService().solve_batch(
+            ConfigBatch.from_configs([a, cfg, b])
+        )[1]
+        reference = repro_io.result_to_dict(alone)
+        for other in (in_list, in_batch):
+            assert payloads_equivalent(
+                reference, repro_io.result_to_dict(other)
+            )
+
+    def test_failed_batch_falls_back_per_config(self):
+        """A SolverError re-solves the batch config by config: a config
+        that fails again alone degrades to SLSQP, the rest finish on the
+        primary path."""
+        from repro.faults import FaultPlan, FaultRule
+
+        configs = [paper_config(seed=s) for s in (2, 3)]
+        # Two Stage-3 failures: the batch of two, then the first config
+        # alone; the second config then solves cleanly.
+        plan = FaultPlan(rules=(FaultRule(
+            seam="solver.stage3", kind="solver_fail", max_fires=2),))
+        with plan.activate():
+            results = SolverService().solve_many(configs)
+        assert [r.degraded for r in results] == [True, False]
+        assert all(r.converged for r in results)
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_many", "solve_batch"])
+    def test_worker_solve_seam_fires_per_solved_config(self, entry):
+        """``worker.solve`` fires once per config the service solves, on
+        every entry point — never for cache hits or in-batch duplicates."""
+        from repro.core.batch import ConfigBatch
+        from repro.errors import FaultInjected
+        from repro.faults import FaultPlan, FaultRule
+
+        cached, fresh = paper_config(seed=3), paper_config(seed=2)
+
+        def call(service):
+            if entry == "solve":
+                return [service.solve(cached), service.solve(fresh)]
+            if entry == "solve_many":
+                return service.solve_many([cached, fresh, fresh])
+            return service.solve_batch(
+                ConfigBatch.from_configs([cached, fresh, fresh])
+            )
+
+        raising = FaultPlan(rules=(
+            FaultRule(seam="worker.solve", kind="raise"),))
+        with raising.activate(), pytest.raises(FaultInjected):
+            call(SolverService())
+        service = SolverService()
+        service.solve(cached)
+        counting = FaultPlan(rules=(
+            FaultRule(seam="worker.solve", kind="hang", max_fires=0),))
+        with counting.activate() as injector:
+            call(service)
+        assert injector.fire_counts() == {"worker.solve": 1}
 
 
 class TestRunRecords:
@@ -455,6 +459,20 @@ class TestRunRecords:
         assert loaded.scenario == record.scenario
         assert loaded.params == record.params
         assert np.allclose(loaded.result.values, record.result.values)
+
+    def test_load_ignores_legacy_backend_key(self, tmp_path):
+        """Records written while runs recorded a solver backend load."""
+        import json
+
+        record = run_scenario("fig3", {"samples": 2, "seed": 1})
+        target = record.save(tmp_path)
+        path = target / "record.json"
+        data = json.loads(path.read_text())
+        data["backend"] = "batched"
+        path.write_text(json.dumps(data))
+        loaded = RunRecord.load(target)
+        assert loaded.run_id == record.run_id
+        assert "backend" not in loaded.to_dict()
 
     def test_out_dir_plumbing(self, tmp_path):
         record = run_scenario("fig3", {"samples": 2}, out_dir=str(tmp_path))

@@ -2,7 +2,7 @@
 and kill/resume byte-identity at randomized kill points.
 
 Hand-rolled property testing (no hypothesis in the toolchain): a seeded
-``default_rng`` draws (topology, batch size, warm-start, backend) tuples
+``default_rng`` draws (topology, batch size, warm-start) tuples
 and random kill points; failures print the draw so they replay exactly.
 """
 
@@ -68,13 +68,11 @@ class TestBatchedScalarContractOnCells:
                 QuHE(cfg).solve().allocation.with_updates(T=None)
                 for cfg in configs
             ]
-        batched = service.solve_many(
-            configs, backend="batched", initials=initials
-        )
-        assert service.last_backend == "batched", context
-        serial = service.solve_many(
-            configs, backend="serial", initials=initials, use_cache=False
-        )
+        batched = service.solve_many(configs, initials=initials)
+        serial = [
+            QuHE(cfg).solve(None if initials is None else initials[i])
+            for i, cfg in enumerate(configs)
+        ]
         for i, (b, s) in enumerate(zip(batched, serial)):
             assert abs(b.objective - s.objective) <= OBJECTIVE_TOL, (
                 f"{context} config={i}: objective diverged "

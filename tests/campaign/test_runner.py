@@ -157,6 +157,33 @@ class TestResume:
             completed_dir / AGGREGATE_FILENAME
         ).read_bytes()
 
+    def test_resume_legacy_directory_with_backend_keys(
+        self, spec, completed_dir, tmp_path
+    ):
+        """Directories written while specs and records still named a solver
+        backend resume without re-running their cells, to the same
+        aggregate bytes as an uninterrupted run."""
+        legacy = tmp_path / "legacy"
+        CampaignRunner(spec, out_dir=legacy).run(max_cells=2)
+        manifest_path = legacy / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["backend"] = "auto"
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        records = sorted((legacy / "cells").rglob("record.json"))
+        assert len(records) == 2
+        for path in records:
+            record = json.loads(path.read_text())
+            record["backend"] = "batched"
+            path.write_text(json.dumps(record, indent=2) + "\n")
+        before = {p: p.stat().st_mtime_ns for p in records}
+
+        resumed = resume_campaign(legacy)
+        assert resumed.complete
+        assert {p: p.stat().st_mtime_ns for p in records} == before
+        assert (legacy / AGGREGATE_FILENAME).read_bytes() == (
+            completed_dir / AGGREGATE_FILENAME
+        ).read_bytes()
+
     def test_resume_skips_completed_cells(self, spec, completed_dir):
         """Re-running a complete campaign must not re-execute any cell."""
         before = {

@@ -195,7 +195,7 @@ class TestPostStormCleanRun:
 
         golden = repro_io.result_to_dict(
             SolverService(cache_size=0).solve_many(
-                [spec.build()], backend="batched", use_cache=False
+                [spec.build()], use_cache=False
             )[0]
         )
         assert digest(stormed_payload) == digest(golden)

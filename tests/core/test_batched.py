@@ -15,13 +15,18 @@ import numpy as np
 import pytest
 
 from repro.api.service import SolverService
-from repro.core.batched import BatchedQuHE, solve_batch
+from repro.core.batched import BatchedQuHE
 from repro.core.config import paper_config
 from repro.core.quhe import QuHE
 from repro.quantum.topology import QKDNetwork
 
 #: Acceptance bound on |F_batched − F_scalar|.
 OBJECTIVE_TOL = 1e-9
+
+
+def solve_batch(configs):
+    """One fresh :class:`BatchedQuHE` pass over ``configs``."""
+    return BatchedQuHE().solve_batch(configs)
 
 
 def small_network(num_clients: int) -> QKDNetwork:
@@ -206,31 +211,17 @@ class TestWarmStarts:
             BatchedQuHE().solve_batch([typical_cfg], initials=[None, None])
 
 
-class TestServiceBackends:
-    def test_all_backends_agree(self, typical_cfg):
+class TestService:
+    def test_service_matches_scalar(self, typical_cfg):
         cfgs = [
             typical_cfg.with_total_bandwidth(v) for v in (0.6e7, 1.2e7)
         ]
-        by_backend = {
-            backend: SolverService().solve_many(
-                cfgs, backend=backend, use_cache=False
-            )
-            for backend in ("serial", "batched")
-        }
-        for serial, batched in zip(*by_backend.values()):
-            assert_equivalent(serial, batched)
-
-    def test_auto_resolves_and_records_backend(self, typical_cfg):
-        service = SolverService()
-        service.solve_many([typical_cfg])
-        # auto without a worker request resolves to the in-process batch
-        # on every core count.
-        assert service.last_backend == "batched"
-        assert service.consume_last_backend() == "batched"
-        assert service.consume_last_backend() is None
+        results = SolverService().solve_many(cfgs, use_cache=False)
+        for cfg, batched in zip(cfgs, results):
+            assert_equivalent(QuHE(cfg).solve(), batched)
 
     def test_batched_results_populate_cache(self, typical_cfg):
         service = SolverService()
-        first = service.solve_many([typical_cfg], backend="batched")
+        first = service.solve_many([typical_cfg])
         again = service.solve(typical_cfg)
         assert again is first[0]

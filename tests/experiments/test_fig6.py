@@ -53,11 +53,3 @@ class TestSweep:
     def test_render(self, bandwidth_series):
         text = bandwidth_series.render()
         assert "bandwidth" in text and "QuHE" in text
-
-    def test_parallel_workers_match_serial(self, typical_cfg, bandwidth_series):
-        """ProcessPoolExecutor fan-out returns bit-identical objectives."""
-        parallel = sweep(
-            "bandwidth", typical_cfg, values=[0.5e7, 1.0e7, 1.5e7], workers=2
-        )
-        assert parallel.objectives == bandwidth_series.objectives
-        assert np.array_equal(parallel.x_values, bandwidth_series.x_values)

@@ -22,6 +22,7 @@ from repro.serve import (
     ServeSettings,
     SqliteResultCache,
 )
+from repro.serve.bench import payloads_equivalent
 from repro.serve.protocol import encode_line
 
 
@@ -69,6 +70,10 @@ class TestSmoke:
         assert json.dumps(response.result, sort_keys=True) == json.dumps(
             direct_payload, sort_keys=True
         )
+        # One solve path: the daemon's miss answer is also what a fresh,
+        # cache-less service computes for the same config.
+        fresh = repro_io.result_to_dict(SolverService().solve(spec.build()))
+        assert payloads_equivalent(response.result, fresh)
 
     def test_ping_and_stats_ops(self, tmp_path):
         async def body(server, client):

@@ -118,7 +118,7 @@ class TestHappyPath:
         assert len(outcomes) == 2
         configs = [ConfigSpec.from_dict(d).build() for d in spec_dicts]
         direct = SolverService(cache_size=0).solve_many(
-            configs, backend="batched", use_cache=False
+            configs, use_cache=False
         )
         for outcome, result in zip(outcomes, direct):
             assert not isinstance(outcome, BaseException)

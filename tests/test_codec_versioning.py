@@ -165,7 +165,7 @@ class TestRoundTripVersionStamp:
 
         result = CampaignResult(
             name="t", scenario="sim-keyrate", base={"duration": 4.0},
-            axes={"demand_factor": [0.0, 0.5]}, seeds=[1, 2], backend="auto",
+            axes={"demand_factor": [0.0, 0.5]}, seeds=[1, 2],
             cells_total=4, cells_completed=4,
             points=[GridPointAggregate(
                 params={"demand_factor": 0.0},
@@ -181,6 +181,10 @@ class TestRoundTripVersionStamp:
         assert payload["format_version"] == 1
         restored = result_from_dict(payload)
         assert result_to_dict(restored) == payload
+        # Aggregates written before the solver backend selector was removed
+        # carry a "backend" key; they still decode.
+        legacy = dict(payload, backend="auto")
+        assert result_to_dict(result_from_dict(legacy)) == payload
 
         stale = dict(payload)
         stale["format_version"] = 0  # a past release's artifact
