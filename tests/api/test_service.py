@@ -328,6 +328,25 @@ class TestSolveMany:
         assert [r.allocation.num_clients for r in results] == [6, 1, 6]
         assert all(r.converged for r in results)
 
+    def test_initials_must_align_with_configs(self, configs):
+        with pytest.raises(ValueError, match="initials must align"):
+            SolverService().solve_many(configs, initials=[None])
+
+    def test_warm_started_duplicates_solved_separately(self, typical_cfg):
+        """Warm-started entries are never merged or cached; a cold copy of
+        the same config in the call still is."""
+        initial = SolverService().solve(paper_config(seed=3)).allocation
+        service = SolverService()
+        results = service.solve_many(
+            [typical_cfg, typical_cfg, typical_cfg],
+            initials=[initial, initial, None],
+        )
+        assert len({id(r) for r in results}) == 3
+        assert service.cache_info() == {
+            "hits": 0, "misses": 1, "coalesced": 0, "size": 1,
+        }
+        assert service.solve(typical_cfg) is results[2]
+
 
 class TestSolveBatch:
     """Service-level columnar entry point: ``solve_batch(ConfigBatch)``."""
@@ -407,6 +426,78 @@ class TestOnePath:
             results = SolverService().solve_many(configs)
         assert [r.degraded for r in results] == [True, False]
         assert all(r.converged for r in results)
+
+    def test_batch_of_one_degrades_directly(self, typical_cfg):
+        """A failed batch of one is already a per-config failure: it goes
+        straight to SLSQP instead of retrying the same batched solve."""
+        from repro.faults import FaultPlan, FaultRule
+
+        plan = FaultPlan(rules=(FaultRule(
+            seam="solver.stage3", kind="solver_fail", max_fires=1),))
+        with plan.activate():
+            result = SolverService().solve(typical_cfg)
+        assert result.degraded and result.converged
+
+    def test_transient_batch_failure_degrades_nothing(self):
+        """One failed vectorized pass re-solves every config alone on the
+        primary path, to the answers a clean batch gives."""
+        from repro import io as repro_io
+        from repro.faults import FaultPlan, FaultRule
+        from repro.serve.bench import payloads_equivalent
+
+        configs = [paper_config(seed=s) for s in (2, 3, 4)]
+        plan = FaultPlan(rules=(FaultRule(
+            seam="solver.stage3", kind="solver_fail", max_fires=1),))
+        with plan.activate():
+            recovered = SolverService().solve_many(configs)
+        clean = SolverService().solve_many(configs)
+        assert not any(r.degraded for r in recovered)
+        for got, want in zip(recovered, clean):
+            assert payloads_equivalent(
+                repro_io.result_to_dict(want), repro_io.result_to_dict(got)
+            )
+
+    def test_solve_batch_fallback_keeps_columnar_result(self):
+        """The per-config fallback still answers a ConfigBatch with a
+        SolutionBatch, degraded flags included, and caches it."""
+        from repro.core.batch import ConfigBatch, SolutionBatch
+        from repro.faults import FaultPlan, FaultRule
+
+        configs = [paper_config(seed=s) for s in (2, 3)]
+        plan = FaultPlan(rules=(FaultRule(
+            seam="solver.stage3", kind="solver_fail", max_fires=2),))
+        service = SolverService()
+        with plan.activate():
+            solution = service.solve_batch(ConfigBatch.from_configs(configs))
+        assert isinstance(solution, SolutionBatch)
+        assert solution.degraded.tolist() == [True, False]
+        assert service.solve(configs[0]).degraded
+        assert service.cache_info()["hits"] == 1
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_many", "solve_batch"])
+    def test_use_cache_false_neither_reads_nor_writes(self, entry):
+        """``use_cache=False`` solves past a cached entry and stores
+        nothing, on every entry point."""
+        from repro.core.batch import ConfigBatch
+
+        cached, fresh = paper_config(seed=2), paper_config(seed=3)
+        service = SolverService()
+        first = service.solve(cached)
+        if entry == "solve":
+            results = [service.solve(cached, use_cache=False),
+                       service.solve(fresh, use_cache=False)]
+        elif entry == "solve_many":
+            results = service.solve_many([cached, fresh], use_cache=False)
+        else:
+            solution = service.solve_batch(
+                ConfigBatch.from_configs([cached, fresh]), use_cache=False
+            )
+            results = [solution[0], solution[1]]
+        assert results[0] is not first
+        assert results[0].objective == first.objective
+        assert service.cache_info() == {
+            "hits": 0, "misses": 1, "coalesced": 0, "size": 1,
+        }
 
     @pytest.mark.parametrize("entry", ["solve", "solve_many", "solve_batch"])
     def test_worker_solve_seam_fires_per_solved_config(self, entry):

@@ -184,6 +184,21 @@ class TestResume:
             completed_dir / AGGREGATE_FILENAME
         ).read_bytes()
 
+    def test_legacy_manifest_of_another_campaign_still_refused(
+        self, spec, tmp_path
+    ):
+        """Ignoring the legacy ``backend`` key does not loosen the
+        different-campaign guard: any other spec difference still refuses."""
+        out_dir = tmp_path / "legacy-other"
+        CampaignRunner(spec, out_dir=out_dir).run(max_cells=1)
+        manifest_path = out_dir / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["backend"] = "auto"
+        manifest["spec"]["seeds"] = [2, 3, 4]
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        with pytest.raises(ValueError, match="different campaign"):
+            CampaignRunner(spec, out_dir=out_dir).run()
+
     def test_resume_skips_completed_cells(self, spec, completed_dir):
         """Re-running a complete campaign must not re-execute any cell."""
         before = {

@@ -144,6 +144,15 @@ class TestSerialization:
                 "name": "c", "scenario": "sim-keyrate", "cells": 5,
             })
 
+    def test_legacy_backend_key_accepted_and_ignored(self):
+        """Specs saved while a solver backend was selectable still load,
+        to the same spec; saving drops the key."""
+        data = keyrate_spec().to_dict()
+        assert "backend" not in data
+        legacy = CampaignSpec.from_dict({**data, "backend": "pool"})
+        assert legacy == keyrate_spec()
+        assert legacy.to_dict() == data
+
     def test_load_from_mapping_or_file(self, tmp_path):
         data = keyrate_spec().to_dict()
         from_map = load_spec(data)

@@ -53,3 +53,26 @@ class TestSweep:
     def test_render(self, bandwidth_series):
         text = bandwidth_series.render()
         assert "bandwidth" in text and "QuHE" in text
+
+    def test_quhe_points_match_lone_solves(self, typical_cfg, bandwidth_series):
+        """Each grid point's QuHE objective is the one a lone solve of that
+        point's config gives: batching the grid couples no points."""
+        from repro.api.service import SolverService
+
+        lone = [
+            SolverService().solve(typical_cfg.with_total_bandwidth(v)).objective
+            for v in bandwidth_series.x_values
+        ]
+        assert bandwidth_series.objectives["QuHE"] == lone
+
+    def test_shared_service_serves_a_repeated_sweep_from_cache(
+        self, typical_cfg, bandwidth_series
+    ):
+        from repro.api.service import SolverService
+
+        service = SolverService()
+        values = list(bandwidth_series.x_values)
+        first = sweep("bandwidth", typical_cfg, values=values, service=service)
+        again = sweep("bandwidth", typical_cfg, values=values, service=service)
+        assert again.objectives == first.objectives == bandwidth_series.objectives
+        assert service.cache_info()["hits"] == len(values)

@@ -281,6 +281,33 @@ class TestProtocolErrors:
         )
 
 
+class TestSolveSeam:
+    def test_in_process_solve_fault_is_answered_not_cached(self, tmp_path):
+        """``worker.solve`` fires in the in-process daemon's solve: the
+        request gets a FaultInjected response, nothing is cached, and the
+        next request solves cleanly."""
+        from repro.faults import FaultPlan, FaultRule
+
+        spec = ConfigSpec(seed=2)
+
+        async def body(server, client):
+            faulted = await client.solve(spec)
+            clean = await client.solve(spec)
+            return faulted, clean
+
+        plan = FaultPlan(seed=11, rules=(
+            FaultRule(seam="worker.solve", kind="raise"),))
+        with plan.activate():
+            faulted, clean = asyncio.run(_with_server(
+                ServeSettings(socket_path=_sock(tmp_path)), body
+            ))
+        assert not faulted.ok
+        assert faulted.error["type"] == "FaultInjected"
+        assert faulted.error["exit_code"] == 9
+        clean.raise_for_error()
+        assert clean.meta["cache"] == "solved"
+
+
 class TestHealthAndDrain:
     def test_health_op_reports_ok_and_queue_state(self, tmp_path):
         async def body(server, client):

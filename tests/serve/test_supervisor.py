@@ -174,6 +174,46 @@ class TestPoisonIsolation:
         assert stats["worker_restarts"] == 0
 
 
+class TestSolveSeam:
+    """``worker.solve`` fires inside the worker's own solve, per config."""
+
+    def test_raise_fails_the_batch_and_redispatch_recovers(self):
+        """The one-shot fault fails the batch's solve; the individual
+        re-dispatches solve cleanly in the same, surviving worker."""
+        plan = FaultPlan(seed=11, rules=(
+            FaultRule(seam="worker.solve", kind="raise"),))
+
+        async def body(supervisor):
+            return await supervisor.solve_specs(_specs(2)), dict(
+                supervisor.stats
+            )
+
+        outcomes, stats = asyncio.run(_with_pool(_settings(), body, plan))
+        assert [o["kind"] for o in outcomes] == ["quhe_result"] * 2
+        assert stats["redispatched"] == 2
+        assert stats["worker_restarts"] == 0
+
+    def test_crash_respawns_and_redispatch_recovers(self):
+        """after=1 crash at the solve seam: the second batch kills the
+        worker and the respawned worker carries it."""
+        plan = FaultPlan(seed=11, rules=(
+            FaultRule(seam="worker.solve", kind="crash", after=1),))
+
+        async def body(supervisor):
+            first = await supervisor.solve_specs(_specs(1))
+            second = await supervisor.solve_specs(_specs(1))
+            return first, second, dict(supervisor.stats)
+
+        first, second, stats = asyncio.run(
+            _with_pool(_settings(), body, plan)
+        )
+        assert not isinstance(first[0], BaseException)
+        assert not isinstance(second[0], BaseException)
+        assert stats["worker_crashes"] == 1
+        assert stats["worker_restarts"] == 1
+        assert stats["redispatched"] == 1
+
+
 class TestCrashRecovery:
     def test_crash_surfaces_worker_crashed_with_exit_status(self):
         """max_attempts=1: the injected crash comes back as the outcome."""
