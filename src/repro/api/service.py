@@ -303,8 +303,9 @@ class SolverService:
         """Install a raw ``quhe_result`` codec payload under ``key``.
 
         The write-side counterpart of :meth:`cache_lookup` for serving
-        layers whose results arrive as payload dicts (the supervised worker
-        pool ships solves back over a pipe as codec payloads).  A
+        layers whose results arrive as payload dicts (the ``repro serve``
+        daemon stores every solved payload this way, whether it was solved
+        in an executor thread or in a supervised worker).  A
         payload-capable backend (:class:`~repro.serve.cache.SqliteResultCache`)
         stores the payload verbatim — preserving byte-identity between what
         the daemon answered and what the cache replays; other backends
@@ -328,18 +329,6 @@ class SolverService:
             else:
                 self._misses += 1
             return result
-
-    def _cache_peek(self, key: str) -> Optional[QuHEResult]:
-        """Probe the cache without touching the hit/miss counters.
-
-        Serving layers that already accounted a request via
-        :meth:`cache_lookup` retry the probe inside the batch solve; a
-        second counted probe would double-book the same logical request
-        (``count_cache_stats=False`` in :meth:`solve_many` /
-        :meth:`solve_batch` routes here instead).
-        """
-        with self._lock:
-            return self._cache.get(key)
 
     def _cache_put(self, key: str, result: QuHEResult) -> None:
         with self._lock:
@@ -375,7 +364,6 @@ class SolverService:
         *,
         use_cache: bool = True,
         initials: Optional[Sequence[Optional[Allocation]]] = None,
-        count_cache_stats: bool = True,
     ) -> List[QuHEResult]:
         """Solve a list of configurations in one vectorized pass.
 
@@ -386,11 +374,6 @@ class SolverService:
         ``initials`` warm-starts configs from the given allocations (None
         entries start cold).  A warm start can change the trajectory, so a
         warm-started config neither reads from nor populates the cache.
-
-        ``count_cache_stats=False`` makes cache probes and in-batch dedup
-        invisible to :meth:`cache_info` — for callers (the serve daemon)
-        that already counted each logical request at their own boundary and
-        would otherwise book the same request twice.
 
         Duplicates in the batch map to one solve and one shared result
         object:
@@ -405,19 +388,13 @@ class SolverService:
         >>> service.cache_info()["coalesced"]
         1
         """
-        return self._solve(
-            configs,
-            use_cache=use_cache,
-            initials=initials,
-            count_cache_stats=count_cache_stats,
-        )
+        return self._solve(configs, use_cache=use_cache, initials=initials)
 
     def solve_batch(
         self,
         batch: ConfigBatch,
         *,
         use_cache: bool = True,
-        count_cache_stats: bool = True,
     ) -> SolutionBatch:
         """Solve a columnar :class:`~repro.core.batch.ConfigBatch` natively.
 
@@ -428,9 +405,7 @@ class SolverService:
         the scalar results.  Caching and dedup behave as in
         :meth:`solve_many`.
         """
-        return self._solve(
-            batch, use_cache=use_cache, count_cache_stats=count_cache_stats
-        )
+        return self._solve(batch, use_cache=use_cache)
 
     def _solve(
         self,
@@ -438,7 +413,6 @@ class SolverService:
         *,
         use_cache: bool,
         initials: Optional[Sequence[Optional[Allocation]]] = None,
-        count_cache_stats: bool = True,
     ) -> Union[List[QuHEResult], SolutionBatch]:
         """The one solve path behind every entry point.
 
@@ -476,16 +450,15 @@ class SolverService:
         # them as coalesced requests (the serve daemon adds its own in-flight
         # merges on top via note_coalesced).
         duplicates = k - len(set(keys))
-        if duplicates and count_cache_stats:
+        if duplicates:
             self.note_coalesced(duplicates)
-        probe = self._cache_get if count_cache_stats else self._cache_peek
         results: Dict[str, QuHEResult] = {}
         pending: List[int] = []  # first input index of each unsolved key
         queued = set()
         for i, key in enumerate(keys):
             if key in results or key in queued:
                 continue
-            cached = probe(key) if use_cache and cacheable[i] else None
+            cached = self._cache_get(key) if use_cache and cacheable[i] else None
             if cached is not None:
                 results[key] = cached
             else:

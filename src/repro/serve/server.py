@@ -9,10 +9,19 @@ Request lifecycle (op ``solve``)::
                   └─ admission queue
                         │  bounded: overflow → structured 503 (ServerOverloaded)
                         ▼
-                  micro-batcher: first entry + up to ``max_batch-1`` more
-                  within ``max_wait_ms``  ──►  SolverService.solve_many
-                  (in an executor thread)  ──► fan results back out to
-                  every waiter
+                  micro-batcher: a free solve slot, then the first entry +
+                  up to ``max_batch-1`` more within ``max_wait_ms``
+                        ▼
+                  one dispatch: one solve per unique fingerprint ──► store
+                  in the result cache ──► fan out to every waiter
+
+There is one dispatch (:meth:`AllocationServer._solve_batch`), and
+``workers = 0`` is its zero-worker case: one solve slot and
+:func:`solve_payloads` in an executor thread.  ``workers = N`` gives N
+slots, solved by :mod:`repro.serve.supervisor` subprocesses.  Either way
+the daemon owns the result cache: it probes at dispatch and stores each
+solved payload before fan-out, so a failed write costs the row, never the
+reply.
 
 Every stage updates counters surfaced by the ``stats`` op and the
 ``repro serve --status`` CLI.  The ``serve.request`` fault seam draws from
@@ -28,9 +37,10 @@ import asyncio
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
+from repro import io as repro_io
 from repro.api.service import SolverService, config_fingerprint
 from repro.core.config import SystemConfig
 from repro.errors import (
@@ -75,12 +85,14 @@ class ServeSettings:
     ``cache_db`` non-empty replaces the in-memory LRU with the sqlite
     cross-process cache at that path.
 
-    ``workers > 0`` moves batch solves out of the daemon process into that
-    many *supervised subprocesses* (see
+    ``workers`` sets how many micro-batches may solve at once.
+    ``workers = 0`` is the zero-worker case of the one dispatch: a single
+    solve slot, with each batch solved in an executor thread of the daemon
+    process.  ``workers > 0`` gives that many slots and solves in that many
+    *supervised subprocesses* (see
     :class:`~repro.serve.supervisor.WorkerSupervisor`): a crash or hang
     then costs one batch attempt instead of the daemon, at the price of a
-    pipe round-trip per batch.  ``workers = 0`` keeps the original inline
-    executor-thread path.  The remaining knobs tune the supervisor's
+    pipe round-trip per batch.  The remaining knobs tune the supervisor's
     deadline, restart budget, and circuit breaker, and ``drain_timeout_s``
     bounds how long a graceful drain waits for in-flight work.
     """
@@ -120,12 +132,23 @@ class _Pending:
 
     key: str
     config: SystemConfig
+    spec: ConfigSpec
     use_cache: bool
     future: "asyncio.Future[Tuple[Dict[str, Any], Dict[str, Any]]]"
-    enqueued_at: float = 0.0
-    #: The originating spec (supervised mode ships it to the worker; the
-    #: inline path never reads it).
-    spec: Optional[ConfigSpec] = None
+    enqueued_at: float
+
+
+def solve_payloads(
+    service: SolverService, configs: Sequence[SystemConfig]
+) -> List[Dict[str, Any]]:
+    """Solve ``configs`` in one batched pass; one codec payload each.
+
+    The solve step of both serving modes: the in-process daemon runs it in
+    an executor thread, each supervised worker once per batch.  The daemon
+    owns the result cache, so the solve neither reads nor writes it.
+    """
+    results = service.solve_many(configs, use_cache=False)
+    return [repro_io.result_to_dict(result) for result in results]
 
 
 class AllocationServer:
@@ -178,6 +201,7 @@ class AllocationServer:
             )
         self._server: Optional[asyncio.AbstractServer] = None
         self._queue: Optional["asyncio.Queue[Any]"] = None
+        self._slots: Optional[asyncio.Semaphore] = None
         self._batcher: Optional["asyncio.Task[None]"] = None
         self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         self._spec_memo: "OrderedDict[str, Tuple[str, SystemConfig]]" = (
@@ -221,6 +245,7 @@ class AllocationServer:
         if self._supervisor is not None:
             await self._supervisor.start()
         self._queue = asyncio.Queue(maxsize=self.settings.max_queue)
+        self._slots = asyncio.Semaphore(max(1, self.settings.workers))
         self._batcher = asyncio.create_task(self._batch_loop())
         if self.settings.socket_path:
             self._server = await asyncio.start_unix_server(
@@ -498,8 +523,6 @@ class AllocationServer:
             cached = self.service.cache_lookup(key)
             if cached is not None:
                 self.stats["cache_hits"] += 1
-                from repro import io as repro_io
-
                 return ServeResponse(
                     id=request.id, ok=True,
                     result=repro_io.result_to_dict(cached),
@@ -510,8 +533,9 @@ class AllocationServer:
             raise ServerOverloaded("server not accepting work (stopped)")
         future: "asyncio.Future[Any]" = loop.create_future()
         entry = _Pending(
-            key=key, config=config, use_cache=request.use_cache,
-            future=future, enqueued_at=loop.time(), spec=request.spec,
+            key=key, config=config, spec=request.spec,
+            use_cache=request.use_cache, future=future,
+            enqueued_at=loop.time(),
         )
         try:
             self._queue.put_nowait(entry)
@@ -531,10 +555,15 @@ class AllocationServer:
         )
 
     async def _batch_loop(self) -> None:
-        """Drain the admission queue in micro-batches; fan results out."""
-        assert self._queue is not None
+        """Form a micro-batch once a solve slot is free; solve it as a task.
+
+        With one slot (zero workers) the next batch forms when the previous
+        solve returns; with N slots up to N batches solve at once.
+        """
+        assert self._queue is not None and self._slots is not None
         loop = asyncio.get_running_loop()
         while True:
+            await self._slots.acquire()
             entry = await self._queue.get()
             if entry is _STOP:
                 return
@@ -555,60 +584,50 @@ class AllocationServer:
                     stop_after = True
                     break
                 batch.append(nxt)
-            if self._supervisor is None:
-                await self._solve_batch(batch)
-            else:
-                # Supervised mode: reserve a worker slot, then solve in a
-                # background task so the batcher keeps forming batches for
-                # the other workers while this one is busy.
-                await self._supervisor.reserve()
-                task = asyncio.create_task(self._solve_batch_supervised(batch))
-                self._batch_tasks.add(task)
-                task.add_done_callback(self._batch_tasks.discard)
+            task = asyncio.create_task(self._solve_batch(batch))
+            self._batch_tasks.add(task)
+            task.add_done_callback(self._batch_tasks.discard)
             if stop_after:
                 return
 
-    async def _solve_batch_supervised(self, batch: List[_Pending]) -> None:
-        """Ship one micro-batch to the worker pool and fan outcomes out.
+    async def _solve_batch(self, batch: List[_Pending]) -> None:
+        """Solve a micro-batch's unique keys, store, fan out (both modes).
 
-        Unique specs only cross the pipe once; outcomes come back per spec
-        as payload dicts or taxonomy exceptions (the supervisor has already
-        respawned crashed/hung workers and retried items individually).
-        Successful cacheable payloads are persisted to the result cache
-        *before* waiter fan-out and regardless of whether any waiter is
-        still connected — the no-lost-acked-results half of the
-        at-most-once contract: a client that died waiting gets a cache hit
-        when it retries.
+        Outcomes come back per key as payload dicts or taxonomy exceptions
+        (the supervisor has already respawned crashed or hung workers and
+        retried items one by one).  Cacheable payloads are stored *before*
+        fan-out, whether or not any waiter is still connected, so a client
+        that died waiting gets a cache hit when it retries.  Releases the
+        solve slot the batcher took.
         """
-        assert self._supervisor is not None
         loop = asyncio.get_running_loop()
         start = loop.time()
         try:
             by_key: "OrderedDict[str, List[_Pending]]" = OrderedDict()
             for entry in batch:
                 by_key.setdefault(entry.key, []).append(entry)
-            spec_dicts = [
-                group[0].spec.to_dict() if group[0].spec is not None else None
-                for group in by_key.values()
-            ]
-            if any(d is None for d in spec_dicts):
-                # Cannot happen via the wire path; guard for embedded users.
-                raise ConfigurationError(
-                    "supervised serving requires spec-born requests"
+            heads = [group[0] for group in by_key.values()]
+            if self._supervisor is None:
+                solving = asyncio.to_thread(
+                    solve_payloads, self.service, [e.config for e in heads]
+                )
+            else:
+                solving = self._supervisor.solve_specs(
+                    [e.spec.to_dict() for e in heads]
                 )
             try:
-                outcomes = await self._supervisor.solve_specs(spec_dicts)
-            except Exception as exc:  # noqa: BLE001 - e.g. breaker opened
-                outcomes = [exc] * len(by_key)
-            solve_ms = (loop.time() - start) * 1000.0
+                outcomes = await solving
+            except Exception as exc:  # noqa: BLE001 - fanned out per waiter
+                outcomes = [exc] * len(heads)
+            solve_ms = round((loop.time() - start) * 1000.0, 3)
+            supervised = {} if self._supervisor is None else {"workers": True}
             solved_keys = 0
             for (key, group), outcome in zip(by_key.items(), outcomes):
                 self._inflight.pop(key, None)
-                if isinstance(outcome, BaseException) or outcome is None:
-                    exc = outcome or ServerOverloaded("request dropped")
+                if isinstance(outcome, BaseException):
                     for e in group:
                         if not e.future.done():
-                            e.future.set_exception(exc)
+                            e.future.set_exception(outcome)
                     continue
                 solved_keys += 1
                 if any(e.use_cache for e in group):
@@ -622,8 +641,8 @@ class AllocationServer:
                         "queue_ms": round(
                             (start - e.enqueued_at) * 1000.0, 3
                         ),
-                        "solve_ms": round(solve_ms, 3),
-                        "workers": True,
+                        "solve_ms": solve_ms,
+                        **supervised,
                     }
                     if not e.future.done():
                         e.future.set_result((outcome, meta))
@@ -631,55 +650,7 @@ class AllocationServer:
                 self.stats["backend_batches"] += 1
                 self.stats["backend_solves"] += solved_keys
         finally:
-            self._supervisor.release()
-
-    async def _solve_batch(self, batch: List[_Pending]) -> None:
-        from repro import io as repro_io
-
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-        # Mixed cache policies split into sub-batches: solve_many takes one
-        # use_cache flag for the whole call (batches are almost always
-        # homogeneous; the split only costs a second vectorized pass).
-        groups: Dict[bool, List[_Pending]] = {}
-        for entry in batch:
-            groups.setdefault(entry.use_cache, []).append(entry)
-        for use_cache, group in groups.items():
-            configs = [e.config for e in group]
-            # Every logical request was already booked (hit/miss/coalesced)
-            # at dispatch time by _dispatch_solve; the probes the service
-            # retries inside the batch solve must stay invisible or each
-            # request would be counted twice (count_cache_stats=False).
-            try:
-                results = await asyncio.to_thread(
-                    self.service.solve_many,
-                    configs,
-                    use_cache=use_cache,
-                    count_cache_stats=False,
-                )
-            except Exception as exc:  # noqa: BLE001 - fanned out per waiter
-                for e in group:
-                    self._inflight.pop(e.key, None)
-                    if not e.future.done():
-                        e.future.set_exception(exc)
-                continue
-            self.stats["backend_batches"] += 1
-            self.stats["backend_solves"] += len({e.key for e in group})
-            solve_ms = (loop.time() - start) * 1000.0
-            payload_by_key: Dict[str, Dict[str, Any]] = {}
-            for e, result in zip(group, results):
-                payload = payload_by_key.get(e.key)
-                if payload is None:
-                    payload = repro_io.result_to_dict(result)
-                    payload_by_key[e.key] = payload
-                meta = {
-                    "batch_size": len(group),
-                    "queue_ms": round((start - e.enqueued_at) * 1000.0, 3),
-                    "solve_ms": round(solve_ms, 3),
-                }
-                self._inflight.pop(e.key, None)
-                if not e.future.done():
-                    e.future.set_result((payload, meta))
+            self._slots.release()
 
     # -- stats ---------------------------------------------------------------
 

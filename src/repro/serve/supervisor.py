@@ -1,11 +1,12 @@
 """Supervised solver workers: crash and hang isolation for the daemon.
 
-The allocation daemon's inline solve path (``asyncio.to_thread`` into the
-shared :class:`~repro.api.service.SolverService`) is fast but fragile: a
-solver that segfaults, leaks until the OOM killer fires, or simply never
-returns takes the whole daemon with it.  :class:`WorkerSupervisor` moves
-batch solves into *subprocess* workers and turns those three failure modes
-into named, recoverable events:
+With zero workers the allocation daemon's one dispatch runs
+:func:`~repro.serve.server.solve_payloads` in an executor thread of its
+own process, where a solver that segfaults, leaks until the OOM killer
+fires, or never returns takes the daemon with it.  With ``workers > 0``
+the same dispatch awaits :meth:`WorkerSupervisor.solve_specs` instead,
+which runs that function in *subprocess* workers and turns those three
+failure modes into named, recoverable events:
 
 * **crash** — the worker process dies mid-batch (pipe hits EOF).  The
   supervisor raises :class:`~repro.errors.WorkerCrashed` (transient),
@@ -21,10 +22,10 @@ into named, recoverable events:
   to close the breaker or re-open it.
 
 Workers are deliberately cache-free (``SolverService(cache_size=0)``): the
-parent owns the result cache, so a respawned worker needs no warm-up and a
-crashed one loses nothing that was acked.  Each worker fires the
-``serve.worker`` fault seam once per dispatched batch, which is how chaos
-tests script crash/hang storms deterministically (see
+daemon owns the result cache in both modes, so a respawned worker needs no
+warm-up and a crashed one loses nothing that was acked.  Each worker fires
+the ``serve.worker`` fault seam once per dispatched batch, which is how
+chaos tests script crash/hang storms deterministically (see
 :mod:`repro.faults` — a respawned worker replays the same draw sequence,
 so ``after=1`` rules make the first batch on a fresh worker safe).
 """
@@ -112,9 +113,9 @@ def _worker_main(conn) -> None:
     the *parent* turns the resulting silence/EOF into taxonomy errors.
     """
     from repro import faults as _faults
-    from repro import io as repro_io
     from repro.api.service import SolverService
     from repro.serve.protocol import ConfigSpec
+    from repro.serve.server import solve_payloads
 
     service = SolverService(cache_size=0)
     try:
@@ -127,10 +128,7 @@ def _worker_main(conn) -> None:
             try:
                 _faults.fire("serve.worker")
                 configs = [ConfigSpec.from_dict(d).build() for d in spec_dicts]
-                results = service.solve_many(configs, use_cache=False)
-                conn.send(
-                    ("ok", job_id, [repro_io.result_to_dict(r) for r in results])
-                )
+                conn.send(("ok", job_id, solve_payloads(service, configs)))
             except Exception as exc:  # noqa: BLE001 — forwarded, not dropped
                 conn.send(("err", job_id, error_payload(exc)))
     except (EOFError, OSError, KeyboardInterrupt):
@@ -177,7 +175,6 @@ class WorkerSupervisor:
         )
         self._workers = [_Worker(i) for i in range(self.settings.workers)]
         self._idle: Optional[asyncio.Queue] = None
-        self._slots = asyncio.Semaphore(self.settings.workers)
         self._jobs = itertools.count(1)
         self._restart_times: Deque[float] = deque()
         self._breaker = "closed"  # closed | open | half-open
@@ -228,16 +225,6 @@ class WorkerSupervisor:
                     await asyncio.to_thread(proc.join, 5.0)
             self._close_worker(worker)
             worker.state = "stopped"
-
-    # -- batch slot reservation (caller-side backpressure) -------------------
-
-    async def reserve(self) -> None:
-        """Block until a worker slot is free (bounds in-flight batches)."""
-        await self._slots.acquire()
-
-    def release(self) -> None:
-        """Return a slot taken by :meth:`reserve`."""
-        self._slots.release()
 
     # -- solving -------------------------------------------------------------
 

@@ -214,73 +214,6 @@ class TestConcurrencySafety:
         service.solve_many([cfg, cfg, cfg, paper_config(seed=3)])
         assert service.cache_info()["coalesced"] == 2
 
-    def test_dispatch_booked_requests_count_exactly_once(self):
-        """Regression (ISSUE 10): a dispatcher that books hit/miss itself
-        at lookup time (the serve daemon pattern) must be able to hand the
-        misses to ``solve_many``/``solve_batch`` without the solve path
-        booking them a second time.  Each logical request lands in the
-        counters exactly once — even when a waiter that coalesced behind an
-        in-flight solve retries and finds the entry already cached."""
-        import threading
-
-        from repro.core.batch import ConfigBatch
-
-        service = SolverService()
-        cfg = paper_config(seed=2)
-        key = config_fingerprint(cfg)
-        n_threads, per_thread = 4, 3
-        barrier = threading.Barrier(n_threads)
-        errors = []
-
-        def dispatcher(use_batch):
-            try:
-                barrier.wait()
-                for _ in range(per_thread):
-                    # Dispatch-time booking: cache_lookup counts the hit or
-                    # the miss for this logical request.
-                    if service.cache_lookup(key) is not None:
-                        continue
-                    if use_batch:
-                        service.solve_batch(
-                            ConfigBatch.from_configs([cfg]),
-                            count_cache_stats=False,
-                        )
-                    else:
-                        service.solve_many(
-                            [cfg], count_cache_stats=False
-                        )
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=dispatcher, args=(t % 2 == 0,))
-            for t in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        info = service.cache_info()
-        # Every logical request was booked exactly once at dispatch; the
-        # uncounted solve-path probes must not inflate either counter.
-        assert info["hits"] + info["misses"] == n_threads * per_thread
-        assert info["coalesced"] == 0
-
-    def test_count_cache_stats_false_still_uses_cache(self):
-        """Uncounted probes are probes, not bypasses: a warm entry is
-        still served (identical object), just without touching counters."""
-        service = SolverService()
-        cfg = paper_config(seed=2)
-        first = service.solve(cfg)
-        info_before = service.cache_info()
-        again = service.solve_many([cfg, cfg], count_cache_stats=False)
-        assert again[0] is first and again[1] is first
-        info_after = service.cache_info()
-        assert info_after["hits"] == info_before["hits"]
-        assert info_after["misses"] == info_before["misses"]
-        assert info_after["coalesced"] == info_before["coalesced"]
-
 
 class TestSolveMany:
     @pytest.fixture(scope="class")

@@ -44,21 +44,52 @@ def _no_leaked_plan():
 
 
 class TestCrashStormSoak:
-    def test_mixed_storm_keeps_availability_and_heals(self):
+    @pytest.mark.parametrize(
+        "fault_seed, first_fire", [(3, "crash"), (31, "hang")],
+        ids=["crash", "hang"],
+    )
+    def test_mixed_storm_keeps_availability_and_heals(
+        self, monkeypatch, fault_seed, first_fire
+    ):
         """Crash+hang storm with retrying clients: nothing is lost.
 
         ``distinct=1, coalesce=False, use_cache=False`` pins batch
         composition (so the byte-identity verification stays valid) while
         forcing every request through the worker pool.
+
+        The storm fires on a fixed batch, not within a time window: each
+        seed's plan spares a fresh worker's first batch and fires on its
+        second, one seed with a crash and one with a hang.  The warm-up
+        batch is some worker's first, so the storm fires on the first drive
+        batch that worker takes.  ``max_wait_ms=20`` puts each round of
+        retries (first back-off 5-15 ms) into one batch.  With 2 ms the
+        late retries of a round form their own batch: it can land on one
+        worker's second batch, be re-dispatched to the other worker's
+        second batch, and fail the same clients again.
         """
         from repro.serve.bench import run_serve_bench
 
+        installed = []
+        install = faults.install
+
+        def recording_install(plan, **kwargs):
+            installed.append(plan)
+            return install(plan, **kwargs)
+
+        monkeypatch.setattr(faults, "install", recording_install)
         result = run_serve_bench(
-            clients=8, duration=1.5, distinct=1, seed=2,
+            clients=8, duration=1.5, distinct=1, seed=2, max_wait_ms=20.0,
             use_cache=False, coalesce=False, max_queue=4096,
             workers=2, batch_deadline_s=1.0, max_restarts=10_000,
             crash_rate=0.4, hang_rate=0.15, retry=True,
+            fault_seed=fault_seed,
         )
+        # Pin the schedule on the plan the run installed, so a change to
+        # how fault streams are derived cannot silently disable the storm.
+        (plan,) = installed
+        injector = faults.FaultInjector(plan)
+        fired = [injector.draw("serve.worker") for _ in range(2)]
+        assert [rule and rule.kind for rule in fired] == [None, first_fire]
         assert result.worker_restarts >= 1, "the storm never fired"
         assert result.availability >= 0.99
         assert result.byte_identical

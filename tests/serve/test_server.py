@@ -3,7 +3,9 @@
 Each test runs an embedded daemon on a private unix socket inside one
 ``asyncio.run``.  The headline smoke test is the acceptance criterion:
 a solve through the daemon must be *identical* to a direct
-``SolverService.solve`` of the same configuration.
+``SolverService.solve`` of the same configuration.  Tests marked
+``both_modes`` hold the same contract in-process (``workers=0``) and with
+one supervised worker subprocess (``workers=1``).
 """
 
 import asyncio
@@ -24,6 +26,11 @@ from repro.serve import (
 )
 from repro.serve.bench import payloads_equivalent
 from repro.serve.protocol import encode_line
+
+
+both_modes = pytest.mark.parametrize(
+    "workers", [0, 1], ids=["workers=0", "workers=1"]
+)
 
 
 def _sock(tmp_path) -> str:
@@ -49,7 +56,10 @@ async def _with_server(settings, body):
 
 
 class TestSmoke:
-    def test_daemon_solve_identical_to_direct_service_solve(self, tmp_path):
+    @both_modes
+    def test_daemon_solve_identical_to_direct_service_solve(
+        self, tmp_path, workers
+    ):
         """Unix-socket daemon result == direct SolverService.solve (bytes)."""
         db = str(tmp_path / "cache.db")
         spec = ConfigSpec(seed=2)
@@ -60,9 +70,12 @@ class TestSmoke:
             return response
 
         response = asyncio.run(_with_server(
-            ServeSettings(socket_path=_sock(tmp_path), cache_db=db), body
+            ServeSettings(socket_path=_sock(tmp_path), cache_db=db,
+                          workers=workers),
+            body,
         ))
         assert response.meta["cache"] == "solved"
+        assert response.meta.get("workers", False) is bool(workers)
         # A direct service sharing the daemon's sqlite cache returns the
         # stored payload — byte-identical, the acceptance criterion.
         direct = SolverService(cache=SqliteResultCache(db))
@@ -98,7 +111,10 @@ class TestSmoke:
 
         asyncio.run(_with_server(ServeSettings(host="127.0.0.1", port=0), body))
 
-    def test_second_solve_hits_cache_with_identical_payload(self, tmp_path):
+    @both_modes
+    def test_second_solve_hits_cache_with_identical_payload(
+        self, tmp_path, workers
+    ):
         spec = ConfigSpec(seed=2)
 
         async def body(server, client):
@@ -110,12 +126,15 @@ class TestSmoke:
             )
 
         asyncio.run(_with_server(
-            ServeSettings(socket_path=_sock(tmp_path)), body
+            ServeSettings(socket_path=_sock(tmp_path), workers=workers), body
         ))
 
 
 class TestCoalescing:
-    def test_concurrent_identical_requests_reach_backend_once(self, tmp_path):
+    @both_modes
+    def test_concurrent_identical_requests_reach_backend_once(
+        self, tmp_path, workers
+    ):
         spec = ConfigSpec(seed=2)
 
         async def body(server, client):
@@ -134,10 +153,11 @@ class TestCoalescing:
             assert dispositions.count("coalesced") == 11
 
         asyncio.run(_with_server(
-            ServeSettings(socket_path=_sock(tmp_path)), body
+            ServeSettings(socket_path=_sock(tmp_path), workers=workers), body
         ))
 
-    def test_coalesce_off_still_dedups_within_a_batch(self, tmp_path):
+    @both_modes
+    def test_coalesce_off_still_dedups_within_a_batch(self, tmp_path, workers):
         spec = ConfigSpec(seed=2)
 
         async def body(server, client):
@@ -147,7 +167,7 @@ class TestCoalescing:
             for response in responses:
                 response.raise_for_error()
             assert server.stats["coalesced"] == 0
-            # solve_many dedups identical fingerprints inside each batch:
+            # The dispatch dedups identical fingerprints inside each batch:
             # every batch of this single-spec burst costs exactly one solve.
             assert server.stats["backend_solves"] == server.stats[
                 "backend_batches"
@@ -155,13 +175,14 @@ class TestCoalescing:
 
         asyncio.run(_with_server(
             ServeSettings(socket_path=_sock(tmp_path), coalesce=False,
-                          max_batch=8, max_wait_ms=50.0),
+                          max_batch=8, max_wait_ms=50.0, workers=workers),
             body,
         ))
 
 
 class TestMicroBatching:
-    def test_distinct_specs_share_a_backend_batch(self, tmp_path):
+    @both_modes
+    def test_distinct_specs_share_a_backend_batch(self, tmp_path, workers):
         specs = [
             ConfigSpec(seed=2, total_bandwidth_hz=1e6 + i * 2.5e5)
             for i in range(4)
@@ -184,7 +205,7 @@ class TestMicroBatching:
 
         asyncio.run(_with_server(
             ServeSettings(socket_path=_sock(tmp_path), max_batch=8,
-                          max_wait_ms=200.0),
+                          max_wait_ms=200.0, workers=workers),
             body,
         ))
 
@@ -407,7 +428,15 @@ class TestSupervised:
             ServeSettings(socket_path=_sock(tmp_path), workers=1), body
         ))
 
-    def test_result_cached_even_when_client_disconnects(self, tmp_path):
+
+class TestCacheOwnership:
+    """The daemon owns the result cache in both modes: it probes once per
+    request at dispatch and stores each solved payload before fan-out."""
+
+    @both_modes
+    def test_result_cached_even_when_client_disconnects(
+        self, tmp_path, workers
+    ):
         """Drop-on-disconnect regression: a dead waiter loses nothing.
 
         The first client vanishes after its request is admitted but before
@@ -419,7 +448,8 @@ class TestSupervised:
 
         async def main():
             server = AllocationServer(ServeSettings(
-                socket_path=_sock(tmp_path), workers=1, max_wait_ms=150.0,
+                socket_path=_sock(tmp_path), workers=workers,
+                max_wait_ms=150.0,
             ))
             await server.start()
             try:
@@ -458,6 +488,64 @@ class TestSupervised:
                 await server.stop()
 
         asyncio.run(main())
+
+    @both_modes
+    def test_failed_cache_write_still_answers_the_solve(
+        self, tmp_path, workers
+    ):
+        """Cache loss is not reply loss: a sqlite write that fails once
+        leaves the solved request answered ``ok``.  The row never
+        committed, so the next request solves again and stores it."""
+        from repro.faults import FaultPlan, FaultRule
+
+        spec = ConfigSpec(seed=2)
+
+        async def body(server, client):
+            replies = [await client.solve(spec) for _ in range(3)]
+            return replies, dict(server.stats)
+
+        plan = FaultPlan(rules=(FaultRule(seam="cache.put", kind="raise"),))
+        with plan.activate():
+            replies, stats = asyncio.run(_with_server(
+                ServeSettings(socket_path=_sock(tmp_path),
+                              cache_db=str(tmp_path / "cache.db"),
+                              workers=workers),
+                body,
+            ))
+        for reply in replies:
+            reply.raise_for_error()
+        assert [r.meta["cache"] for r in replies] == ["solved", "solved", "hit"]
+        assert stats["errors"] == 0
+
+    @both_modes
+    def test_every_request_is_booked_once(self, tmp_path, workers):
+        """Each request lands in ``cache_info()`` exactly once: a hit or a
+        miss at dispatch unless it coalesced, and then as ``coalesced``.
+        The solve itself never probes the cache a second time."""
+        burst = [ConfigSpec(seed=2)] * 6 + [
+            ConfigSpec(seed=2, total_bandwidth_hz=1e6 + i * 2.5e5)
+            for i in range(3)
+        ]
+
+        async def body(server, client):
+            for _ in range(2):  # a cold burst, then the same burst again
+                responses = await asyncio.gather(*(
+                    client.solve(spec) for spec in burst
+                ))
+                for response in responses:
+                    response.raise_for_error()
+            return server.stats_snapshot()
+
+        stats = asyncio.run(_with_server(
+            ServeSettings(socket_path=_sock(tmp_path), workers=workers), body
+        ))
+        info = stats["cache"]
+        assert stats["coalesced"] > 0
+        assert info["hits"] + info["misses"] == (
+            2 * len(burst) - stats["coalesced"]
+        )
+        assert info["hits"] == stats["cache_hits"]
+        assert info["coalesced"] == stats["coalesced"]
 
 
 class TestLifecycle:
