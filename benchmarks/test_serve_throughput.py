@@ -44,12 +44,9 @@ def test_daemon_sustains_cache_warm_traffic(capsys):
 @pytest.mark.smoke
 def test_coalescing_beats_batching_alone(capsys):
     clients = 64 if full_run() else 32
-    # 3 s, not 1 s: coalescing-on completes whole solve waves of `clients`
-    # requests, and a 1 s window holds only 3-5 of them, too few for a
-    # stable on/off ratio.
-    on = run_serve_bench(clients=clients, duration=3.0, distinct=1,
+    on = run_serve_bench(clients=clients, duration=1.0, distinct=1,
                          use_cache=False, coalesce=True)
-    off = run_serve_bench(clients=clients, duration=3.0, distinct=1,
+    off = run_serve_bench(clients=clients, duration=1.0, distinct=1,
                           use_cache=False, coalesce=False)
     speedup = on.rate_rps / off.rate_rps
     with capsys.disabled():

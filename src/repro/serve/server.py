@@ -17,11 +17,11 @@ Request lifecycle (op ``solve``)::
 
 There is one dispatch (:meth:`AllocationServer._solve_batch`), and
 ``workers = 0`` is its zero-worker case: one solve slot and
-:func:`solve_payloads` in an executor thread.  ``workers = N`` gives N
-slots, solved by :mod:`repro.serve.supervisor` subprocesses.  Either way
-the daemon owns the result cache: it probes at dispatch and stores each
-solved payload before fan-out, so a failed write costs the row, never the
-reply.
+:func:`~repro.serve.supervisor.solve_payloads` in an executor thread.
+``workers = N`` gives N slots, solved by :mod:`repro.serve.supervisor`
+subprocesses.  Either way the daemon owns the result cache: it probes at
+dispatch and stores each solved payload before fan-out, so a failed write
+costs the row, never the reply.
 
 Every stage updates counters surfaced by the ``stats`` op and the
 ``repro serve --status`` CLI.  The ``serve.request`` fault seam draws from
@@ -37,7 +37,7 @@ import asyncio
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro import io as repro_io
@@ -57,6 +57,11 @@ from repro.serve.protocol import (
     decode_line,
     encode_line,
     error_payload,
+)
+from repro.serve.supervisor import (
+    SupervisorSettings,
+    WorkerSupervisor,
+    solve_payloads,
 )
 
 __all__ = ["AllocationServer", "ServeSettings"]
@@ -138,19 +143,6 @@ class _Pending:
     enqueued_at: float
 
 
-def solve_payloads(
-    service: SolverService, configs: Sequence[SystemConfig]
-) -> List[Dict[str, Any]]:
-    """Solve ``configs`` in one batched pass; one codec payload each.
-
-    The solve step of both serving modes: the in-process daemon runs it in
-    an executor thread, each supervised worker once per batch.  The daemon
-    owns the result cache, so the solve neither reads nor writes it.
-    """
-    results = service.solve_many(configs, use_cache=False)
-    return [repro_io.result_to_dict(result) for result in results]
-
-
 class AllocationServer:
     """The long-lived allocation daemon (see module docstring).
 
@@ -183,13 +175,8 @@ class AllocationServer:
             )
         else:
             self.service = SolverService(cache_size=settings.cache_capacity)
-        self._supervisor: Optional["WorkerSupervisor"] = None
+        self._supervisor: Optional[WorkerSupervisor] = None
         if settings.workers > 0:
-            from repro.serve.supervisor import (
-                SupervisorSettings,
-                WorkerSupervisor,
-            )
-
             self._supervisor = WorkerSupervisor(
                 SupervisorSettings(
                     workers=settings.workers,

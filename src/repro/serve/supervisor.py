@@ -1,8 +1,8 @@
 """Supervised solver workers: crash and hang isolation for the daemon.
 
-With zero workers the allocation daemon's one dispatch runs
-:func:`~repro.serve.server.solve_payloads` in an executor thread of its
-own process, where a solver that segfaults, leaks until the OOM killer
+:func:`solve_payloads` is the solve step of the allocation daemon's one
+dispatch.  With zero workers the daemon runs it in an executor thread of
+its own process, where a solver that segfaults, leaks until the OOM killer
 fires, or never returns takes the daemon with it.  With ``workers > 0``
 the same dispatch awaits :meth:`WorkerSupervisor.solve_specs` instead,
 which runs that function in *subprocess* workers and turns those three
@@ -11,7 +11,9 @@ failure modes into named, recoverable events:
 * **crash** — the worker process dies mid-batch (pipe hits EOF).  The
   supervisor raises :class:`~repro.errors.WorkerCrashed` (transient),
   respawns the worker with bounded backoff, and re-dispatches the batch's
-  requests *individually* so one poisoned configuration fails alone;
+  requests *individually* so one poisoned configuration fails alone.
+  Idle workers are handed out last-released first, so the re-dispatch
+  lands on the worker just respawned for it, not on another worker;
 * **hang** — the worker misses the per-batch deadline.  The supervisor
   kills it, raises :class:`~repro.errors.DeadlineExceeded`, and recovers
   the same way;
@@ -41,6 +43,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
+from repro import io as repro_io
+from repro.api.service import SolverService
+from repro.core.config import SystemConfig
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -49,7 +54,7 @@ from repro.errors import (
 )
 from repro.serve.protocol import error_payload, exception_from_payload
 
-__all__ = ["SupervisorSettings", "WorkerSupervisor"]
+__all__ = ["SupervisorSettings", "WorkerSupervisor", "solve_payloads"]
 
 #: How long a freshly started worker may take to report ``ready`` (covers a
 #: cold ``spawn``-context interpreter importing numpy/scipy).
@@ -103,6 +108,19 @@ class SupervisorSettings:
             )
 
 
+def solve_payloads(
+    service: SolverService, configs: Sequence[SystemConfig]
+) -> List[Dict[str, Any]]:
+    """Solve ``configs`` in one batched pass; one codec payload each.
+
+    The solve step of both serving modes: the in-process daemon runs it in
+    an executor thread, each supervised worker once per batch.  The daemon
+    owns the result cache, so the solve neither reads nor writes it.
+    """
+    results = service.solve_many(configs, use_cache=False)
+    return [repro_io.result_to_dict(result) for result in results]
+
+
 def _worker_main(conn) -> None:
     """Body of one solver subprocess: recv spec batches, send payloads.
 
@@ -113,9 +131,7 @@ def _worker_main(conn) -> None:
     the *parent* turns the resulting silence/EOF into taxonomy errors.
     """
     from repro import faults as _faults
-    from repro.api.service import SolverService
     from repro.serve.protocol import ConfigSpec
-    from repro.serve.server import solve_payloads
 
     service = SolverService(cache_size=0)
     try:
@@ -197,7 +213,8 @@ class WorkerSupervisor:
         """Spawn the pool; raises if an initial worker fails to come up."""
         if self._started:
             return
-        self._idle = asyncio.Queue()
+        # LIFO: a faulted batch's re-dispatch takes its respawned worker.
+        self._idle = asyncio.LifoQueue()
         self._stopping = False
         for worker in self._workers:
             await self._spawn(worker)
@@ -326,6 +343,8 @@ class WorkerSupervisor:
 
     async def _acquire(self) -> _Worker:
         assert self._idle is not None, "supervisor not started"
+        if not self._idle.empty():  # no yield: respawned worker stays on top
+            return self._idle.get_nowait()
         # Generous bound: a full batch deadline plus respawn headroom.  If no
         # worker frees up by then the pool is wedged/dead — shed, not wait.
         timeout = self.settings.batch_deadline_s + _SPAWN_TIMEOUT_S

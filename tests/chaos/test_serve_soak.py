@@ -61,11 +61,9 @@ class TestCrashStormSoak:
         seed's plan spares a fresh worker's first batch and fires on its
         second, one seed with a crash and one with a hang.  The warm-up
         batch is some worker's first, so the storm fires on the first drive
-        batch that worker takes.  ``max_wait_ms=20`` puts each round of
-        retries (first back-off 5-15 ms) into one batch.  With 2 ms the
-        late retries of a round form their own batch: it can land on one
-        worker's second batch, be re-dispatched to the other worker's
-        second batch, and fail the same clients again.
+        batch that worker takes.  A faulted batch is re-dispatched to the
+        worker respawned for it, whose first batch is safe, rather than to
+        the other worker's faulted second batch.
         """
         from repro.serve.bench import run_serve_bench
 
@@ -78,7 +76,7 @@ class TestCrashStormSoak:
 
         monkeypatch.setattr(faults, "install", recording_install)
         result = run_serve_bench(
-            clients=8, duration=1.5, distinct=1, seed=2, max_wait_ms=20.0,
+            clients=8, duration=1.5, distinct=1, seed=2,
             use_cache=False, coalesce=False, max_queue=4096,
             workers=2, batch_deadline_s=1.0, max_restarts=10_000,
             crash_rate=0.4, hang_rate=0.15, retry=True,

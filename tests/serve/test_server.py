@@ -547,6 +547,55 @@ class TestCacheOwnership:
         assert info["hits"] == stats["cache_hits"]
         assert info["coalesced"] == stats["coalesced"]
 
+    def test_miss_behind_a_solving_batch_is_solved_again(
+        self, tmp_path, monkeypatch
+    ):
+        """With coalescing off, a request that missed at dispatch while
+        the same key was still solving is solved again in the next batch:
+        the solve never re-probes the cache the first batch stored into."""
+        import threading
+
+        from repro.serve import server as server_module
+
+        spec = ConfigSpec(seed=2)
+        started, release = threading.Event(), threading.Event()
+        solve_payloads = server_module.solve_payloads
+        solved = []
+
+        def gated(service, configs):
+            started.set()
+            release.wait(timeout=30)
+            solved.append(len(configs))
+            return solve_payloads(service, configs)
+
+        monkeypatch.setattr(server_module, "solve_payloads", gated)
+
+        async def body(server, client):
+            try:
+                first = asyncio.ensure_future(client.solve(spec))
+                assert await asyncio.to_thread(started.wait, 30)
+                second = asyncio.ensure_future(client.solve(spec))
+                for _ in range(600):
+                    if server.stats_snapshot()["queue_depth"] == 1:
+                        break
+                    await asyncio.sleep(0.005)
+                assert server.stats_snapshot()["queue_depth"] == 1
+            finally:
+                release.set()
+            replies = [await first, await second, await client.solve(spec)]
+            return replies, server.stats_snapshot()
+
+        replies, stats = asyncio.run(_with_server(
+            ServeSettings(socket_path=_sock(tmp_path), coalesce=False), body
+        ))
+        for reply in replies:
+            reply.raise_for_error()
+        assert [r.meta["cache"] for r in replies] == ["solved", "solved", "hit"]
+        assert solved == [1, 1]
+        assert stats["backend_batches"] == 2
+        assert stats["backend_solves"] == 2
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 2)
+
 
 class TestLifecycle:
     def test_stop_fails_stranded_requests_not_hangs(self, tmp_path):

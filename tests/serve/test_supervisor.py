@@ -1,8 +1,9 @@
 """WorkerSupervisor: payload fidelity, poison isolation, crash/hang recovery.
 
 Subprocess-spawning tests use a single worker with tight settings so the
-whole file stays tier-1 fast; the circuit-breaker state machine is driven
-with a fake clock and no processes at all.
+whole file stays tier-1 fast (two only where the pool's hand-out order is
+the point); the circuit-breaker state machine is driven with a fake clock
+and no processes at all.
 
 Fault determinism: a respawned worker forks with fresh seam counters, so a
 ``serve.worker`` rule with ``after=1`` makes each *fresh* worker's first
@@ -256,6 +257,29 @@ class TestCrashRecovery:
         assert stats["worker_crashes"] == 1
         assert stats["worker_restarts"] == 1
         assert stats["redispatched"] == 1
+
+    def test_redispatch_lands_on_the_respawned_worker(self):
+        """Two workers, and every fresh worker's second batch crashes.
+
+        Each faulted batch is re-dispatched to the worker respawned for it
+        (the last one released), whose first batch is safe, never to the
+        other worker's faulted second batch, so every solve is answered.
+        """
+        plan = _worker_plan("crash", after=1)
+
+        async def body(supervisor):
+            outcomes = [
+                await supervisor.solve_specs(_specs(1)) for _ in range(3)
+            ]
+            return outcomes, dict(supervisor.stats)
+
+        outcomes, stats = asyncio.run(
+            _with_pool(_settings(workers=2), body, plan)
+        )
+        for (outcome,) in outcomes:
+            assert not isinstance(outcome, BaseException)
+        assert stats["worker_crashes"] == 2
+        assert stats["redispatched"] == 2
 
 
 class TestHangRecovery:
