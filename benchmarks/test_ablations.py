@@ -8,7 +8,7 @@ regime) and print the supporting numbers.
 
 import numpy as np
 
-from repro.core.quhe import QuHE
+from repro.core.quhe import initial_allocation
 from repro.experiments.ablations import (
     bnb_vs_exhaustive,
     msl_activation_threshold,
@@ -19,7 +19,7 @@ from repro.utils.tables import format_table
 
 
 def test_ablation_bnb(typical_cfg, capsys):
-    alloc = QuHE(typical_cfg).initial_allocation()
+    alloc = initial_allocation(typical_cfg)
     ablation = bnb_vs_exhaustive(typical_cfg, alloc)
     with capsys.disabled():
         print()
@@ -33,7 +33,7 @@ def test_ablation_bnb(typical_cfg, capsys):
 
 
 def test_ablation_transform(typical_cfg, capsys):
-    alloc = QuHE(typical_cfg).initial_allocation()
+    alloc = initial_allocation(typical_cfg)
     ablation = transform_vs_direct(typical_cfg, alloc)
     with capsys.disabled():
         print()
@@ -68,7 +68,7 @@ def test_ablation_weight_threshold(typical_cfg, capsys):
 def test_benchmark_bnb(benchmark, typical_cfg):
     from repro.core.stage2 import BranchAndBoundSolver
 
-    alloc = QuHE(typical_cfg).initial_allocation()
+    alloc = initial_allocation(typical_cfg)
     solver = BranchAndBoundSolver(typical_cfg)
     result = benchmark(solver.solve, alloc)
     assert result.nodes_explored < 3**6

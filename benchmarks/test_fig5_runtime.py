@@ -6,7 +6,7 @@ random select fastest but worst).  Benchmarks the full QuHE procedure — the
 headline runtime of Fig. 5(a).
 """
 
-from repro.core.quhe import QuHE
+from repro.api.service import SolverService
 from repro.experiments.fig5_comparison import run_stage_call_report
 from repro.experiments.tables import run_stage1_methods
 from repro.utils.tables import format_table
@@ -42,6 +42,10 @@ def test_fig5b_stage1_runtimes(paper_cfg, capsys):
 
 
 def test_benchmark_full_quhe(benchmark, typical_cfg):
-    solver = QuHE(typical_cfg)
-    result = benchmark.pedantic(solver.solve, rounds=3, iterations=1)
+    # No result cache, so every round is a full solve through the path
+    # run_stage_call_report takes.
+    service = SolverService(cache_size=0)
+    result = benchmark.pedantic(
+        service.solve, args=(typical_cfg,), rounds=3, iterations=1
+    )
     assert result.converged

@@ -7,10 +7,10 @@ three-stage alternating algorithm.
 
 Quick start::
 
-    from repro import paper_config, QuHE
+    from repro import paper_config, SolverService
 
     config = paper_config(seed=0)
-    result = QuHE(config).solve()
+    result = SolverService().solve(config)
     print(result.metrics.summary())
 
 Subpackages

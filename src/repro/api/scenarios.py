@@ -7,7 +7,10 @@ recorded in every :class:`~repro.api.artifacts.RunRecord`), the run
 function, and the renderer producing the text the CLI prints.
 
 The module-level :data:`SERVICE` is the shared :class:`SolverService`
-instance: scenario runs within one process reuse its fingerprint cache.
+instance: the scenarios that pass it reuse its fingerprint cache within one
+process.  ``fig3``, ``fig4``, ``fig5`` and ``report`` take no service: their
+experiment functions each solve through a fresh :class:`SolverService`, so
+they neither read nor fill it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from repro.api.registry import ParamSpec, Scenario, get_scenario, register_scena
 from repro.api.service import SolverService
 from repro.core.config import paper_config
 
-#: Shared solver front-door; every scenario solve goes through its cache.
+#: Shared solver front-door.  Scenarios that pass it reuse its cache;
+#: fig3/fig4/fig5/report solve through their own fresh services.
 SERVICE = SolverService()
 
 _SEED = ParamSpec("seed", int, 2, help="channel realization seed")

@@ -13,7 +13,9 @@
   (Alg. 2, Eq. 21-23), plus exhaustive search for validation.
 * :mod:`repro.core.stage3` — Stage 3: fractional-programming alternation for
   powers, bandwidths and CPU allocations (Alg. 3, Eq. 24-28).
-* :mod:`repro.core.quhe` — the whole QuHE procedure (Alg. 4).
+* :mod:`repro.core.quhe` — the scalar Alg. 4 reference loop and its
+  feasible starting point.
+* :mod:`repro.core.batched` — the vectorized Alg. 4 every solve runs.
 * :mod:`repro.core.baselines` — the AA / OLAA / OCCR system baselines.
 """
 
@@ -23,7 +25,7 @@ from repro.core.solution import Allocation, Metrics
 from repro.core.stage1 import Stage1Result, Stage1Solver
 from repro.core.stage2 import BranchAndBoundSolver, ExhaustiveSolver, Stage2Result
 from repro.core.stage3 import Stage3Result, Stage3Solver
-from repro.core.quhe import QuHE, QuHEResult
+from repro.core.quhe import QuHE, QuHEResult, initial_allocation
 from repro.core.batch import ConfigBatch, SolutionBatch
 from repro.core.batched import BatchedQuHE
 from repro.core.baselines import (
@@ -59,6 +61,7 @@ __all__ = [
     "Stage3Solver",
     "SystemConfig",
     "average_allocation",
+    "initial_allocation",
     "occr_baseline",
     "olaa_baseline",
     "paper_config",

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.problem import QuHEProblem
+from repro.core.quhe import initial_allocation
 from repro.core.solution import Allocation, Metrics
 from repro.core.stage1 import Stage1Result, Stage1Solver
 from repro.core.stage2 import BranchAndBoundSolver
@@ -47,16 +48,7 @@ def _stage1(config: SystemConfig, stage1_result: Optional[Stage1Result]) -> Stag
 
 
 def _aa_allocation(config: SystemConfig, s1: Stage1Result) -> Allocation:
-    n = config.num_clients
-    return Allocation(
-        phi=s1.phi,
-        w=s1.w,
-        lam=np.full(n, config.cost_model.lambda_set[0], dtype=float),
-        p=config.max_power.copy(),
-        b=np.full(n, config.server.total_bandwidth_hz / n),
-        f_c=config.client_max_frequency.copy(),
-        f_s=np.full(n, config.server.total_frequency_hz / n),
-    )
+    return initial_allocation(config).with_updates(phi=s1.phi, w=s1.w)
 
 
 def average_allocation(

@@ -1,5 +1,10 @@
 """Batched QuHE: one vectorized pass of Alg. 4 over many configurations.
 
+This is the Alg.-4 loop every production solve runs, through
+:class:`~repro.api.service.SolverService` (a single solve is the batch of
+one); the scalar :class:`~repro.core.quhe.QuHE` loop is the reference it is
+tested against and the SLSQP degraded path.
+
 :class:`BatchedQuHE` stacks K independent :class:`~repro.core.config.SystemConfig`
 instances into leading-axis NumPy arrays and runs the three-stage alternation
 for the whole batch at once:
@@ -36,10 +41,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.batch import ConfigBatch, SolutionBatch, _ragged
+from repro.core.batch import ConfigBatch, SolutionBatch
 from repro.core.config import SystemConfig
 from repro.core.problem import QuHEProblem
-from repro.core.quhe import QuHE, QuHEResult
+from repro.core.quhe import QuHEResult, initial_allocation
 from repro.core.solution import Allocation
 from repro.core.stage1 import Stage1Result, Stage1Solver
 from repro.core.stage2 import BranchAndBoundSolver, Stage2Result
@@ -159,11 +164,9 @@ class BatchedQuHE:
         k = len(batch)
         configs = [batch[i] for i in range(k)]
         problems = [QuHEProblem(cfg) for cfg in configs]
-        solvers = [QuHE(cfg, max_outer_iterations=self.max_outer_iterations)
-                   for cfg in configs]
         allocs: List[Allocation] = [
-            initial if initial is not None else solver.initial_allocation()
-            for solver, initial in zip(solvers, initials)
+            initial if initial is not None else initial_allocation(cfg)
+            for cfg, initial in zip(configs, initials)
         ]
         # The scalar loop seeds its history at the starting point, before
         # the Stage-1 update is applied; match it exactly so the round-1
@@ -311,65 +314,23 @@ class BatchedQuHE:
                 break
 
         runtime = time.perf_counter() - start
-        metrics = [problems[i].metrics(allocs[i]) for i in range(k)]
-        w_flat, w_off = _ragged([allocs[i].w for i in range(k)])
-        h_flat, h_off = _ragged(histories)
-        s2h_flat, s2h_off = _ragged([s2.history for s2 in s2_results])
-        s3h_flat, s3h_off = _ragged([s3.history for s3 in s3_results])
-        s3g_flat, s3g_off = _ragged([s3.transform_gap for s3 in s3_results])
-        return SolutionBatch(
-            phi=np.stack([a.phi for a in allocs]),
-            lam=np.stack([a.lam for a in allocs]),
-            p=np.stack([a.p for a in allocs]),
-            b=np.stack([a.b for a in allocs]),
-            f_c=np.stack([a.f_c for a in allocs]),
-            f_s=np.stack([a.f_s for a in allocs]),
-            enc_delay=np.stack([m.enc_delay for m in metrics]),
-            tr_delay=np.stack([m.tr_delay for m in metrics]),
-            cmp_delay=np.stack([m.cmp_delay for m in metrics]),
-            enc_energy=np.stack([m.enc_energy for m in metrics]),
-            tr_energy=np.stack([m.tr_energy for m in metrics]),
-            cmp_energy=np.stack([m.cmp_energy for m in metrics]),
-            s2_lam=np.stack([s2.lam for s2 in s2_results]),
-            s3_p=np.stack([s3.p for s3 in s3_results]),
-            s3_b=np.stack([s3.b for s3 in s3_results]),
-            s3_f_c=np.stack([s3.f_c for s3 in s3_results]),
-            s3_f_s=np.stack([s3.f_s for s3 in s3_results]),
-            T=np.array([float(a.T) for a in allocs]),
-            u_qkd=np.array([m.u_qkd for m in metrics]),
-            u_msl=np.array([m.u_msl for m in metrics]),
-            total_delay=np.array([m.total_delay for m in metrics]),
-            total_energy=np.array([m.total_energy for m in metrics]),
-            objective=np.array([m.objective for m in metrics]),
-            s2_T=np.array([s2.T for s2 in s2_results]),
-            s2_value=np.array([s2.value for s2 in s2_results]),
-            s2_runtime=np.array([s2.runtime_s for s2 in s2_results]),
-            s3_T=np.array([s3.T for s3 in s3_results]),
-            s3_value=np.array([s3.value for s3 in s3_results]),
-            s3_runtime=np.array([s3.runtime_s for s3 in s3_results]),
-            runtime_s=np.full(k, runtime),
-            s2_nodes=np.array(
-                [s2.nodes_explored for s2 in s2_results], dtype=np.int64
-            ),
-            s3_outer=np.array(
-                [s3.outer_iterations for s3 in s3_results], dtype=np.int64
-            ),
-            stage1_calls=np.ones(k, dtype=np.int64),
-            stage2_calls=outer_counts.astype(np.int64),
-            stage3_calls=outer_counts.astype(np.int64),
-            outer_iterations=outer_counts.astype(np.int64),
-            s3_converged=np.array(
-                [s3.converged for s3 in s3_results], dtype=bool
-            ),
-            converged=converged,
-            degraded=np.zeros(k, dtype=bool),
-            w_flat=w_flat, w_offsets=w_off,
-            history_flat=h_flat, history_offsets=h_off,
-            s2_history_flat=s2h_flat, s2_history_offsets=s2h_off,
-            s3_history_flat=s3h_flat, s3_history_offsets=s3h_off,
-            s3_gap_flat=s3g_flat, s3_gap_offsets=s3g_off,
-            stage1=tuple(stage1),
-        )
+        return SolutionBatch.from_results([
+            QuHEResult(
+                allocation=allocs[i],
+                metrics=problems[i].metrics(allocs[i]),
+                objective_history=histories[i],
+                stage1=stage1[i],
+                stage2=s2_results[i],
+                stage3=s3_results[i],
+                stage1_calls=1,
+                stage2_calls=int(outer_counts[i]),
+                stage3_calls=int(outer_counts[i]),
+                outer_iterations=int(outer_counts[i]),
+                runtime_s=runtime,
+                converged=bool(converged[i]),
+            )
+            for i in range(k)
+        ])
 
     # -- Stage 2 ----------------------------------------------------------------
 

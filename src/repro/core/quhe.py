@@ -9,6 +9,12 @@ changes by less than the accuracy tolerance ε.
 The QKD block shares no constraint or objective term with the other blocks,
 so Stage 1 reaches its optimum in the first outer iteration — matching the
 paper's Fig. 5(a), where every stage is called exactly once.
+
+Production solves run the vectorized loop of
+:class:`~repro.core.batched.BatchedQuHE` through
+:class:`~repro.api.service.SolverService`.  This scalar :class:`QuHE` is the
+independent reference: the SLSQP degraded path re-solves with it, and the
+test suite checks the batched loop against it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.core.solution import Allocation, Metrics
 from repro.core.stage1 import Stage1Result, Stage1Solver
 from repro.core.stage2 import BranchAndBoundSolver, Stage2Result
 from repro.core.stage3 import Stage3Result, Stage3Solver
+from repro.quantum.utility import optimal_link_werner
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,28 @@ class QuHEResult:
         return self.metrics.objective
 
 
+def initial_allocation(config: SystemConfig) -> Allocation:
+    """The Alg. 4 feasible starting point (an AA-style assignment).
+
+    λ at the smallest admissible degree, full transmit power and client CPU
+    speed, and bandwidth and server CPU split evenly; φ is a strictly
+    feasible rate just above φ_min, with the matching Werner parameters.
+    """
+    n = config.num_clients
+    phi0 = Stage1Solver(config).feasible_start()
+    return Allocation(
+        phi=phi0,
+        w=optimal_link_werner(
+            phi0, config.network.incidence, config.network.betas
+        ),
+        lam=np.full(n, config.cost_model.lambda_set[0], dtype=float),
+        p=config.max_power.copy(),
+        b=np.full(n, config.server.total_bandwidth_hz / n),
+        f_c=config.client_max_frequency.copy(),
+        f_s=np.full(n, config.server.total_frequency_hz / n),
+    )
+
+
 class QuHE:
     """The Quantum-enhanced Homomorphic Encryption resource allocator."""
 
@@ -62,40 +91,19 @@ class QuHE:
         config: SystemConfig,
         *,
         max_outer_iterations: int = 20,
-        stage1_solver: Optional[Stage1Solver] = None,
-        stage2_solver: Optional[BranchAndBoundSolver] = None,
         stage3_solver: Optional[Stage3Solver] = None,
     ) -> None:
         self.config = config
         self.problem = QuHEProblem(config)
         self.max_outer_iterations = int(max_outer_iterations)
-        self.stage1 = stage1_solver or Stage1Solver(config)
-        self.stage2 = stage2_solver or BranchAndBoundSolver(config)
+        self.stage1 = Stage1Solver(config)
+        self.stage2 = BranchAndBoundSolver(config)
         self.stage3 = stage3_solver or Stage3Solver(config)
-
-    def initial_allocation(self) -> Allocation:
-        """The Alg. 4 feasible starting point (an AA-style assignment)."""
-        cfg = self.config
-        n = cfg.num_clients
-        phi0 = self.stage1.feasible_start()
-        from repro.quantum.utility import optimal_link_werner
-
-        w0 = optimal_link_werner(phi0, cfg.network.incidence, cfg.network.betas)
-        lam0 = np.full(n, cfg.cost_model.lambda_set[0], dtype=float)
-        return Allocation(
-            phi=phi0,
-            w=w0,
-            lam=lam0,
-            p=cfg.max_power.copy(),
-            b=np.full(n, cfg.server.total_bandwidth_hz / n),
-            f_c=cfg.client_max_frequency.copy(),
-            f_s=np.full(n, cfg.server.total_frequency_hz / n),
-        )
 
     def solve(self, initial: Optional[Allocation] = None) -> QuHEResult:
         """Run Alg. 4 to convergence and return the full result bundle."""
         cfg = self.config
-        alloc = initial or self.initial_allocation()
+        alloc = initial or initial_allocation(cfg)
         history: List[float] = [self.problem.objective(alloc)]
         s1_result: Optional[Stage1Result] = None
         s2_result: Optional[Stage2Result] = None

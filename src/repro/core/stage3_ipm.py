@@ -634,15 +634,24 @@ def solve_stage3_batch(
         tol_now = problem.con.tolerance
         x_start = x
         # Climb the central path at fixed z until every config is final.
+        # A config centered at its final weight sits out (infinite Newton
+        # target) while the others finish climbing, so its point does not
+        # depend on which configs share its batch.
+        centered = np.zeros(len(x), dtype=bool)
         while True:
             at_final = t_barrier >= t_final
             x = problem.newton(
                 x,
                 t_barrier,
-                tol=np.where(at_final, _NEWTON_TOL_FINAL, _NEWTON_TOL_PATH),
+                tol=np.where(
+                    centered,
+                    np.inf,
+                    np.where(at_final, _NEWTON_TOL_FINAL, _NEWTON_TOL_PATH),
+                ),
             )
             if np.all(at_final):
                 break
+            centered = at_final
             t_barrier = np.minimum(t_barrier * _MU, t_final)
 
         p_a, b_a, fc_a, fs_a, _ = problem.split(x)

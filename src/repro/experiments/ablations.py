@@ -23,7 +23,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.core.config import SystemConfig
-from repro.core.quhe import QuHE
+from repro.core.quhe import initial_allocation
 from repro.core.solution import Allocation
 from repro.core.stage1 import Stage1Solver, _DOMAIN_MARGIN
 from repro.core.stage2 import BranchAndBoundSolver, ExhaustiveSolver
@@ -183,7 +183,7 @@ def run_ablation_suite(
     service: Optional["SolverService"] = None,
 ) -> AblationSuite:
     """Run every ablation on ``config`` (from QuHE's own starting point)."""
-    alloc = QuHE(config).initial_allocation()
+    alloc = initial_allocation(config)
     points = weight_sensitivity(
         config, alpha_msl_values=alpha_msl_values, service=service
     )

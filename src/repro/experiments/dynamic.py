@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.problem import QuHEProblem
-from repro.core.quhe import QuHE
 from repro.core.solution import Allocation
 from repro.utils.rng import SeedLike, as_generator
 from repro.wireless.pathloss import rayleigh_power_gain
@@ -77,7 +76,8 @@ def run_dynamic_study(
     move); Rayleigh fading is redrawn per epoch.  Epoch 0 uses the config's
     own gains and defines the static policy.
 
-    The fading draws do not depend on the solves, so every epoch's config
+    Epoch 0 is one :meth:`~repro.api.service.SolverService.solve`.  The
+    fading draws do not depend on the solves, so every later epoch's config
     is known upfront and the adaptive re-optimizations form one
     :meth:`~repro.api.service.SolverService.solve_many` batch.
     """
@@ -86,7 +86,8 @@ def run_dynamic_study(
     if num_epochs < 1:
         raise ValueError("need at least one epoch")
     rng = as_generator(seed)
-    baseline = QuHE(config).solve()
+    svc = service if service is not None else SolverService()
+    baseline = svc.solve(config)
     static_alloc = baseline.allocation
     # Epoch configs are deterministic given the seed, independent of solves.
     epoch_configs: List[SystemConfig] = [config]
@@ -104,7 +105,6 @@ def run_dynamic_study(
         # All epochs warm-start from the epoch-0 optimum: the alternation
         # improves monotonically from there, so adaptive ≥ static holds per
         # epoch by construction, and the solves batch (no serial chain).
-        svc = service if service is not None else SolverService()
         warm = static_alloc.with_updates(T=None)
         for result in svc.solve_many(
             epoch_configs[1:], initials=[warm] * (num_epochs - 1)

@@ -17,13 +17,13 @@ Two sources of randomness are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig, paper_config
-from repro.core.quhe import QuHE
+from repro.core.quhe import initial_allocation
 from repro.core.solution import Allocation
 from repro.utils.rng import SeedLike, spawn_generators
 
@@ -73,10 +73,10 @@ class OptimalityStudy:
         return float(np.mean(self.values >= self.maximum - band))
 
 
-def _random_start(config: SystemConfig, rng: np.random.Generator, quhe: QuHE) -> Allocation:
+def _random_start(config: SystemConfig, rng: np.random.Generator) -> Allocation:
     """Uniform initial (b, p, f_c, f_s) inside the feasible box (paper §VI-C)."""
     n = config.num_clients
-    base = quhe.initial_allocation()
+    base = initial_allocation(config)
     p = rng.uniform(0.01 * config.max_power, config.max_power)
     raw_b = rng.uniform(0.05, 1.0, size=n)
     b = raw_b / raw_b.sum() * config.server.total_bandwidth_hz
@@ -100,25 +100,28 @@ def run_optimality_study(
     With ``config`` given, channels are only resampled if
     ``resample_channels`` (which rebuilds the config per trial from
     ``paper_config``); otherwise the provided realization is reused.
+
+    Each trial's generator draws its config first and its start second;
+    the trials then solve as one
+    :meth:`~repro.api.service.SolverService.solve_many` batch.
     """
+    from repro.api.service import SolverService
+
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    generators = spawn_generators(seed, num_samples)
-    values: List[float] = []
-    for rng in generators:
+    configs: List[SystemConfig] = []
+    starts: List[Optional[Allocation]] = []
+    for rng in spawn_generators(seed, num_samples):
         if resample_channels or config is None:
             trial_config = paper_config(seed=rng)
         else:
             trial_config = config
         if alpha_msl is not None:
-            from dataclasses import replace
-
             trial_config = replace(trial_config, alpha_msl=alpha_msl)
-        quhe = QuHE(trial_config)
-        initial = _random_start(trial_config, rng, quhe) if randomize_start else None
-        result = quhe.solve(initial)
-        values.append(result.objective)
-    arr = np.asarray(values)
+        configs.append(trial_config)
+        starts.append(_random_start(trial_config, rng) if randomize_start else None)
+    results = SolverService().solve_many(configs, initials=starts)
+    arr = np.asarray([result.objective for result in results])
     counts = [
         int(np.sum((arr >= low) & (arr < high))) for low, high in PAPER_BINS
     ]

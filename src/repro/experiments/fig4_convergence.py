@@ -13,10 +13,13 @@ Regenerates the four panels:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.config import SystemConfig
-from repro.core.quhe import QuHE, QuHEResult
+from repro.core.quhe import initial_allocation
+from repro.core.stage1 import Stage1Solver
+from repro.core.stage2 import BranchAndBoundSolver
+from repro.core.stage3 import Stage3Solver
 
 
 @dataclass(frozen=True)
@@ -39,23 +42,26 @@ class ConvergenceTraces:
         return self.stage3_gap[-1] if self.stage3_gap else float("nan")
 
 
-def run_convergence(config: SystemConfig, *, quhe: Optional[QuHE] = None) -> ConvergenceTraces:
+def run_convergence(config: SystemConfig) -> ConvergenceTraces:
     """Trace each stage's first full pass from the initial point (Fig. 4).
 
     The paper's Fig. 4 plots the *within-stage* convergence on the first
     outer iteration — the later outer rounds of Alg. 4 start from already
     near-optimal points and show no visible trajectory.  We therefore run
-    the three stages once from the cold start, then finish the outer loop
-    to report the total runtime and outer-iteration count.
+    the three stage solvers once from the cold start (Stage 2 as the
+    branch-and-bound whose incumbent Fig. 4(b) plots), then take the total
+    runtime and outer-iteration count from a full
+    :class:`~repro.api.service.SolverService` solve.
     """
-    solver = quhe or QuHE(config)
-    alloc = solver.initial_allocation()
-    s1 = solver.stage1.solve(alloc.phi)
+    from repro.api.service import SolverService
+
+    alloc = initial_allocation(config)
+    s1 = Stage1Solver(config).solve(alloc.phi)
     alloc = alloc.with_updates(phi=s1.phi, w=s1.w)
-    s2 = solver.stage2.solve(alloc)
+    s2 = BranchAndBoundSolver(config).solve(alloc)
     alloc = alloc.with_updates(lam=s2.lam, T=s2.T)
-    s3 = solver.stage3.solve(alloc)
-    result: QuHEResult = solver.solve()
+    s3 = Stage3Solver(config).solve(alloc)
+    result = SolverService().solve(config)
     return ConvergenceTraces(
         stage1_objective=list(s1.history),
         stage2_incumbent=list(s2.history),

@@ -29,8 +29,6 @@ from repro.core.baselines import (
     olaa_baseline,
 )
 from repro.core.config import SystemConfig
-from repro.core.quhe import QuHE, QuHEResult
-from repro.core.stage1 import Stage1Result
 from repro.experiments.tables import Stage1MethodComparison, run_stage1_methods
 from repro.utils.tables import format_table
 
@@ -80,7 +78,9 @@ class StageCallReport:
 
 def run_stage_call_report(config: SystemConfig) -> StageCallReport:
     """Solve once with QuHE and report stage calls + runtime (Fig. 5(a))."""
-    result = QuHE(config).solve()
+    from repro.api.service import SolverService
+
+    result = SolverService().solve(config)
     return StageCallReport(
         stage1_calls=result.stage1_calls,
         stage2_calls=result.stage2_calls,
@@ -149,19 +149,18 @@ def run_method_comparison(
     config: SystemConfig,
     *,
     alpha_msl_override: Optional[float] = 0.1,
-    stage1_result: Optional[Stage1Result] = None,
-    quhe_result: Optional[QuHEResult] = None,
 ) -> MethodComparison:
     """Fig. 5(d): evaluate AA, OLAA, OCCR and QuHE on one configuration."""
+    from repro.api.service import SolverService
+
     cfg = config if alpha_msl_override is None else replace(
         config, alpha_msl=alpha_msl_override
     )
-    quhe = quhe_result or QuHE(cfg).solve()
-    s1 = stage1_result or quhe.stage1
+    quhe = SolverService().solve(cfg)
     baselines: List[BaselineResult] = [
-        average_allocation(cfg, stage1_result=s1),
-        olaa_baseline(cfg, stage1_result=s1),
-        occr_baseline(cfg, stage1_result=s1),
+        average_allocation(cfg, stage1_result=quhe.stage1),
+        olaa_baseline(cfg, stage1_result=quhe.stage1),
+        occr_baseline(cfg, stage1_result=quhe.stage1),
     ]
     rows = [
         MethodRow(

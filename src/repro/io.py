@@ -16,7 +16,7 @@ Two layers:
   :class:`~repro.experiments.fig6_sweeps.SweepSet`, a full
   :class:`~repro.experiments.report.ReportBundle` — round-trips losslessly::
 
-      payload = result_to_dict(QuHE(cfg).solve())
+      payload = result_to_dict(SolverService().solve(cfg))
       restored = result_from_dict(payload)        # a QuHEResult again
 
   A result dataclass is its own schema: ``register_codec("my_result",

@@ -1,9 +1,11 @@
 """Seeded property sweep: the batched≡scalar contract on campaign cells,
 and kill/resume byte-identity at randomized kill points.
 
-Hand-rolled property testing (no hypothesis in the toolchain): a seeded
-``default_rng`` draws (topology, batch size, warm-start) tuples
-and random kill points; failures print the draw so they replay exactly.
+Hand-rolled property testing: a seeded ``default_rng`` draws (topology,
+batch size, warm-start) tuples and random kill points; failures print the
+draw so they replay exactly.  Each draw costs full solves or a campaign
+run, so a fixed handful of draws stands in for a hypothesis search (the
+suite uses hypothesis where inputs are cheap, e.g. ``tests/compute``).
 """
 
 import dataclasses

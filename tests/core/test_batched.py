@@ -18,7 +18,10 @@ from repro.api.service import SolverService
 from repro.core.batched import BatchedQuHE
 from repro.core.config import paper_config
 from repro.core.quhe import QuHE
+from repro.experiments.fig3_optimality import _random_start
 from repro.quantum.topology import QKDNetwork
+from repro.utils.rng import as_generator, spawn_generators
+from repro.wireless.pathloss import rayleigh_power_gain
 
 #: Acceptance bound on |F_batched − F_scalar|.
 OBJECTIVE_TOL = 1e-9
@@ -205,6 +208,42 @@ class TestWarmStarts:
         scalar = QuHE(warm_cfg).solve(base)
         batched = BatchedQuHE().solve_batch([warm_cfg], initials=[base])[0]
         assert_equivalent(scalar, batched)
+
+    def test_random_box_starts_match_scalar(self):
+        """Fig. 3's uniform starts inside the feasible box, not optima."""
+        configs, starts = [], []
+        for rng in spawn_generators(0, 4):
+            cfg = paper_config(seed=rng)
+            configs.append(cfg)
+            starts.append(_random_start(cfg, rng))
+        batched = BatchedQuHE().solve_batch(configs, starts)
+        for cfg, start, b in zip(configs, starts, batched):
+            assert_equivalent(QuHE(cfg).solve(start), b)
+
+    def test_member_solves_bitwise_as_alone(self):
+        """Batch-mates never change a config's result.  A config centered
+        at its final barrier weight must sit out while the others climb:
+        this draw's fourth epoch moves by ~1e-6 if it keeps iterating."""
+        cfg = paper_config(seed=0)
+        rng = as_generator(0)
+        faded = [
+            dataclasses.replace(
+                cfg,
+                channel_gains=cfg.channel_gains
+                * rayleigh_power_gain(rng, size=cfg.num_clients),
+            )
+            for _ in range(4)
+        ]
+        warm = solve_batch([cfg])[0].allocation.with_updates(T=None)
+        together = BatchedQuHE().solve_batch(faded, [warm] * 4)
+        for config, member in zip(faded, together):
+            alone = BatchedQuHE().solve_batch([config], [warm])[0]
+            assert member.objective == alone.objective
+            for field in ("lam", "p", "b", "f_c", "f_s"):
+                assert np.array_equal(
+                    getattr(member.allocation, field),
+                    getattr(alone.allocation, field),
+                ), field
 
     def test_initials_length_mismatch_rejected(self, typical_cfg):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import QuHEProblem
-from repro.core.quhe import QuHE
+from repro.core.quhe import initial_allocation
 from repro.core.solution import Allocation
 from repro.crypto.security import weighted_minimum_security
 from repro.quantum.utility import qkd_utility, route_werner_parameters
@@ -17,7 +17,7 @@ def problem(paper_cfg):
 
 @pytest.fixture()
 def feasible(paper_cfg):
-    return QuHE(paper_cfg).initial_allocation()
+    return initial_allocation(paper_cfg)
 
 
 class TestMetrics:

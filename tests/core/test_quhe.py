@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import QuHEProblem
-from repro.core.quhe import QuHE
+from repro.core.quhe import QuHE, initial_allocation
 
 
 class TestSolve:
@@ -50,10 +50,9 @@ class TestSolve:
         assert quhe_result.runtime_s > 0
 
     def test_custom_initial_allocation(self, typical_cfg):
-        solver = QuHE(typical_cfg)
-        initial = solver.initial_allocation()
+        initial = initial_allocation(typical_cfg)
         perturbed = initial.with_updates(p=initial.p * 0.5)
-        result = solver.solve(perturbed)
+        result = QuHE(typical_cfg).solve(perturbed)
         assert result.converged
 
     def test_iteration_cap_respected(self, typical_cfg):
@@ -66,11 +65,10 @@ class TestAgainstBruteForce:
     def test_quhe_at_least_as_good_as_grid_probe(self, typical_cfg, quhe_result):
         """QuHE beats a coarse random probe of the full variable space."""
         problem = QuHEProblem(typical_cfg)
-        solver = QuHE(typical_cfg)
         rng = np.random.default_rng(0)
         best_probe = -np.inf
         for _ in range(200):
-            base = solver.initial_allocation()
+            base = initial_allocation(typical_cfg)
             n = typical_cfg.num_clients
             raw_b = rng.uniform(0.1, 1.0, n)
             raw_fs = rng.uniform(0.1, 1.0, n)

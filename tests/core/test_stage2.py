@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.problem import QuHEProblem
-from repro.core.quhe import QuHE
+from repro.core.quhe import initial_allocation
 from repro.core.stage2 import BranchAndBoundSolver, ExhaustiveSolver, _Stage2Objective
 
 
 @pytest.fixture()
 def base_alloc(paper_cfg):
-    return QuHE(paper_cfg).initial_allocation()
+    return initial_allocation(paper_cfg)
 
 
 class TestObjectiveTables:

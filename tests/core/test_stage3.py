@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.problem import QuHEProblem
-from repro.core.quhe import QuHE
+from repro.core.quhe import initial_allocation
 from repro.core.stage3 import Stage3Solver
 
 
 @pytest.fixture(scope="module")
 def base_alloc(typical_cfg):
-    return QuHE(typical_cfg).initial_allocation()
+    return initial_allocation(typical_cfg)
 
 
 @pytest.fixture(scope="module")

@@ -8,14 +8,14 @@ validates the Eq. 25-26 machinery end to end.
 import numpy as np
 import pytest
 
-from repro.core.quhe import QuHE
+from repro.core.quhe import QuHE, initial_allocation
 from repro.core.stage3 import Stage3Solver
 from repro.core.stage3_direct import Stage3DirectSolver
 
 
 @pytest.fixture(scope="module")
 def base_alloc(typical_cfg):
-    return QuHE(typical_cfg).initial_allocation()
+    return initial_allocation(typical_cfg)
 
 
 @pytest.fixture(scope="module")

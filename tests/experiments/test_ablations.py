@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.quhe import QuHE
+from repro.core.quhe import initial_allocation
 from repro.experiments.ablations import (
     bnb_vs_exhaustive,
     log_convexification_ablation,
@@ -15,7 +15,7 @@ from repro.experiments.ablations import (
 
 @pytest.fixture(scope="module")
 def base_alloc(typical_cfg):
-    return QuHE(typical_cfg).initial_allocation()
+    return initial_allocation(typical_cfg)
 
 
 class TestBnbAblation:
