@@ -8,7 +8,8 @@ Times the SolverService front-door end to end:
 * ``solve_many`` — the Fig.-6 bandwidth-sweep batch (one config per sweep
   point) through the service (``batched``) against a plain loop of scalar
   ``QuHE(cfg).solve()`` calls (``serial``), the two checked to agree
-  within 1e-9 before timing.
+  within 1e-9.  Each row is the median of ``SWEEP_REPS`` timed runs, the
+  two sides alternating, so one slow run does not decide the ratio floor.
 
 Writes a machine-readable report (see :mod:`repro.utils.bench` for the
 schema).
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -53,6 +55,10 @@ FLOORS = (
         min_ratio_vs_backend="serial",
     ),
 )
+
+
+#: timed runs per side of the sweep batch; each row reports their median
+SWEEP_REPS = 5
 
 
 def sweep_configs(seed: int = 2):
@@ -89,21 +95,24 @@ def bench_solve_many(seed: int = 2):
             configs, use_cache=False)),
     ]
     reference = runs[0][1]()
-    for label, run in runs:
-        start = time.perf_counter()
-        results = run()
-        elapsed = time.perf_counter() - start
-        for a, b in zip(reference, results):
-            assert abs(a.objective - b.objective) <= 1e-9, (
-                f"{label} diverged from serial"
-            )
+    elapsed = {label: [] for label, _ in runs}
+    for _ in range(SWEEP_REPS):
+        for label, run in runs:
+            start = time.perf_counter()
+            results = run()
+            elapsed[label].append(time.perf_counter() - start)
+            for a, b in zip(reference, results):
+                assert abs(a.objective - b.objective) <= 1e-9, (
+                    f"{label} diverged from serial"
+                )
+    for label, _ in runs:
         yield BenchResult(
             op="solve_many_fig6_bandwidth",
             backend=label,
             params={"batch": len(configs), "seed": seed,
                     "cpu_count": os.cpu_count()},
-            reps=1,
-            seconds_per_op=elapsed,
+            reps=SWEEP_REPS,
+            seconds_per_op=statistics.median(elapsed[label]),
         )
 
 

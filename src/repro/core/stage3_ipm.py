@@ -40,11 +40,36 @@ Problem structure exploited by the Hessian assembly:
 
 so the full matrix is assembled with vectorized scatters — no Python loop
 over clients or constraints.
+
+The Newton loop (:meth:`_Subproblem.newton`) spends its evaluations only
+where they can change the answer:
+
+* **fused slacks** — :meth:`_Subproblem._state` keeps every constraint
+  slack of a config in one row of a ``(K, m+1)`` matrix
+  (``σ | s_b | s_f | lower | upper``), so the domain test, the log-barrier
+  and the step bound are a few whole-matrix operations.  φ keeps its
+  summation grouping and every Hessian entry its order of additions;
+* **step bound** — before each line search, :meth:`_Subproblem.step_bound`
+  computes per config a step length from which on some slack is provably
+  ≤ 0 (the box and budget slacks are linear in the step; the concave delay
+  slack lies below its tangent), with a margin scaled to the magnitudes
+  each slack is computed from.  The halving starts at the first trial
+  ``2^-j`` below it, so every skipped trial is one the line search would
+  have rejected with a +inf barrier, and every accepted step is bitwise the
+  one found by halving from ``α = 1`` (Boyd & Vandenberghe, *Convex
+  Optimization* §9.2, backtrack until the trial is in ``dom f``);
+* **working set** — a config stops on the decrement test, a failed line
+  search or a stall (or at once, with an infinite target); its point is
+  written back and :meth:`_Subproblem.select` drops it, so later
+  iterations evaluate only configs still moving.  Each config's rows are
+  computed independently of its batch-mates, so its result, Newton
+  iteration count included, is the same in any batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,7 +94,15 @@ _NEWTON_TOL_PATH = 1e-7
 _NEWTON_TOL_FINAL = 1e-11
 _MAX_NEWTON = 60
 _MAX_BACKTRACK = 45
+_MIN_STEP = 2.0 ** (1 - _MAX_BACKTRACK)  # the last line-search trial
+#: 0 (no trial), then every trial 2^-44 … 2^0 in ascending order.
+_TRIALS = np.concatenate(([0.0], 2.0 ** np.arange(1 - _MAX_BACKTRACK, 1.0)))
 _ARMIJO = 0.25
+#: Relative rounding margin of the line-search step bound (~8192 ulps of the
+#: magnitudes a slack is computed from; see ``_Subproblem.step_bound``).
+_SKIP_MARGIN = 2.0**-40
+
+_add = np.add.reduce  # np.sum without its Python wrapper (same bits)
 
 
 @dataclass(frozen=True)
@@ -214,8 +247,55 @@ def strict_interior_start(con: Stage3Constants, cycles, p, b, f_c, f_s):
 # -- the barrier solver --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index constants of a ``n``-client subproblem (cached, read-only).
+
+    ``idx4[i]`` are the variable indices of client ``i``'s ``(p, b, f_c,
+    f_s)`` block.  ``scatter`` are the flat Hessian positions of every
+    client's 4×4 block, then of the ``T`` column and the ``T`` row beside
+    them (all distinct).  ``lin`` maps a step ``d`` (K, 4n+1) to the rate
+    of change of the linear slack columns ``s_b | s_f | lower | upper``
+    along it; ``reach`` stacks it over ``_SKIP_MARGIN · |lin|``, so
+    ``[d, |d|] @ reach`` is their slope plus its rounding margin.
+    """
+    dim = 4 * n + 1
+    cols = np.arange(n)
+    idx4 = np.stack([cols, cols + n, cols + 2 * n, cols + 3 * n], axis=1)
+    scatter = np.concatenate([
+        (idx4[:, :, None] * dim + idx4[:, None, :]).ravel(),
+        (idx4 * dim + 4 * n).ravel(),
+        (4 * n * dim + idx4).ravel(),
+    ])
+    lin = np.zeros((dim, 2 + 2 * dim))
+    lin[n:2 * n, 0] = -1.0
+    lin[3 * n:4 * n, 1] = -1.0
+    lin[:, 2:2 + dim] = np.eye(dim)
+    lin[:-1, 2 + dim:-1] = -np.eye(dim - 1)  # T has no upper bound
+    reach = np.concatenate((lin, _SKIP_MARGIN * np.abs(lin)))
+    for shared in (idx4, scatter, reach):
+        shared.setflags(write=False)
+    return idx4, scatter, reach
+
+
+def _first_trial(bound: np.ndarray) -> np.ndarray:
+    """The first line-search trial under a step bound, per config.
+
+    The largest trial ``2^-j`` (``j = 0 … 44``) strictly below ``bound``, or
+    0 when every trial is at or above it — found by exact comparison with
+    the trials themselves.  A NaN or infinite bound skips nothing.
+    """
+    return _TRIALS[np.searchsorted(_TRIALS[1:], bound)]
+
+
 class _Subproblem:
-    """One batched instance of Problem P6; ``z`` is updated between rounds."""
+    """One batched instance of Problem P6; ``z`` is updated between rounds.
+
+    The ``m`` constraint slacks of a config live in one row of a
+    ``(K, m + 1)`` matrix, columns ``σ (n) | s_b | s_f | lower (dim) |
+    upper (dim)``.  The last column is the upper slack of the unbounded
+    ``T``: a constant 1, whose log adds nothing to the barrier.
+    """
 
     def __init__(self, con: Stage3Constants, cycles: np.ndarray, z: np.ndarray):
         self.con = con
@@ -223,10 +303,10 @@ class _Subproblem:
         self.z = np.asarray(z, dtype=float)
         k, n = con.batch, con.n
         self.k, self.n = k, n
-        self.dim = 4 * n + 1
+        self.dim = dim = 4 * n + 1
         # Variable bounds in scaled space (+inf = unbounded above).
-        lb = np.empty((k, self.dim))
-        ub = np.empty((k, self.dim))
+        lb = np.empty((k, dim))
+        ub = np.empty((k, dim))
         lb[:, 0:n] = 1e-4 * con.p_max
         ub[:, 0:n] = con.p_max
         lb[:, n:2 * n] = 1e-3
@@ -238,22 +318,34 @@ class _Subproblem:
         lb[:, 4 * n] = 0.0
         ub[:, 4 * n] = np.inf
         self.lb, self.ub = lb, ub
-        self._ub_finite = np.isfinite(ub)
-        self._ub_safe = np.where(self._ub_finite, ub, 0.0)
-        self.m = n + 2 + 2 * self.dim - 1  # constraint count (T unbounded above)
-        # Scatter indices for the per-client 4×4 coupling blocks.
-        cols = np.arange(n)
-        self._idx4 = np.stack([cols, cols + n, cols + 2 * n, cols + 3 * n], axis=1)
-        self._rows4 = self._idx4[:, :, None]
-        self._cols4 = self._idx4[:, None, :]
-        self._diag = np.arange(self.dim)
+        self.m = n + 2 + 2 * dim - 1  # constraint count (T unbounded above)
+        self._b_cap = con.b_total[:, 0] / B_SCALE
+        self._f_cap = con.fs_total[:, 0] / F_SCALE
+        self._idx4, self._scatter, self._reach_lin = _layout(n)
+        # Constant parts of the step bound's rounding margin (step_bound):
+        # twice the budget or bound each linear slack is computed from, and
+        # the rate term's and v_b's conditioning factors.
+        self._room = np.zeros((k, self.m + 1))
+        self._room[:, n] = self._b_cap
+        self._room[:, n + 1] = self._f_cap
+        self._room[:, n + 2:n + 2 + dim] = lb
+        self._room[:, n + 2 + dim:-1] = ub[:, :-1]
+        self._room *= 2.0 * _SKIP_MARGIN
+        self._margin_rate = (_SKIP_MARGIN / (_LN2 * T_SCALE)) * con.d_tr
+        self._margin_vb = (_SKIP_MARGIN * B_SCALE / T_SCALE) * con.d_tr
         # Constants reused every evaluation.
         self._c_snr = con.gains / con.noise_psd  # g/N0
+        self._neg_c2 = -(self._c_snr**2)
         self._enc_e_coeff = con.kappa_c * con.enc_cycles
         self._cmp_e_coeff = con.kappa_s * self.cycles
+        self._d_tr2 = con.d_tr**2
+        self._d_tr_2 = 2.0 * con.d_tr
+        self._neg_2enc = -2.0 * con.enc_cycles
+        self._neg_2cyc = -2.0 * self.cycles
 
     def select(self, index: np.ndarray) -> "_Subproblem":
-        """A sub-batch view (used when configs converge at different rounds)."""
+        """A sub-batch view: configs converge at different rounds, and a
+        config whose Newton run stops leaves the working set."""
         return _Subproblem(
             self.con.subset(index), self.cycles[index], self.z[index]
         )
@@ -286,27 +378,26 @@ class _Subproblem:
         interior — the constraint slacks here shrink to ``~m/t`` so even
         one-ulp disagreements between two formulas would matter.
         """
-        con, n = self.con, self.n
+        con, n, dim = self.con, self.n, self.dim
         p, b, f_c, f_s, t = self.split(x)
         c = self._c_snr
         s = p * c / b
         onep = 1.0 + s
-        r = b * np.log2(onep)
-        inv_r = 1.0 / r
+        inv_r = 1.0 / (b * np.log2(onep))
         f_tr = (p * con.d_tr) ** 2 * self.z + 0.25 * inv_r**2 / self.z
         e = self._enc_e_coeff * f_c**2 + self._cmp_e_coeff * f_s**2 + f_tr
-        f0 = con.alpha_e[:, 0] * np.sum(e, axis=-1) + con.alpha_t[:, 0] * t
+        f0 = con.alpha_e[:, 0] * _add(e, axis=-1) + con.alpha_t[:, 0] * t
         delays = con.enc_cycles / f_c + con.d_tr * inv_r + self.cycles / f_s
-        sigma = (t[:, None] - delays) / T_SCALE
-        s_b = con.b_total[:, 0] / B_SCALE - np.sum(x[:, n:2 * n], axis=-1)
-        s_f = con.fs_total[:, 0] / F_SCALE - np.sum(x[:, 3 * n:4 * n], axis=-1)
-        lo = x - self.lb
-        hi = np.where(self._ub_finite, self._ub_safe - x, 1.0)
+        slack = np.empty((len(x), self.m + 1))
+        np.divide(t[:, None] - delays, T_SCALE, out=slack[:, :n])
+        slack[:, n] = self._b_cap - _add(x[:, n:2 * n], axis=-1)
+        slack[:, n + 1] = self._f_cap - _add(x[:, 3 * n:4 * n], axis=-1)
+        np.subtract(x, self.lb, out=slack[:, n + 2:n + 2 + dim])
+        np.subtract(self.ub, x, out=slack[:, n + 2 + dim:])
+        slack[:, -1] = 1.0
         return {
-            "p": p, "b": b, "f_c": f_c, "f_s": f_s, "t": t,
-            "s": s, "onep": onep, "r": r, "inv_r": inv_r,
-            "f0": f0, "sigma": sigma, "s_b": s_b, "s_f": s_f,
-            "lo": lo, "hi": hi,
+            "p": p, "b": b, "f_c": f_c, "f_s": f_s,
+            "s": s, "onep": onep, "inv_r": inv_r, "f0": f0, "slack": slack,
         }
 
     def objective(self, x: np.ndarray) -> np.ndarray:
@@ -314,123 +405,118 @@ class _Subproblem:
 
     def min_slack(self, x: np.ndarray) -> np.ndarray:
         """Smallest constraint slack per config (scaled units)."""
-        state = self._state(x)
-        return np.minimum.reduce(
-            [
-                np.min(state["sigma"], axis=-1),
-                state["s_b"],
-                state["s_f"],
-                np.min(state["lo"], axis=-1),
-                np.min(
-                    np.where(self._ub_finite, state["hi"], np.inf), axis=-1
-                ),
-            ]
-        )
+        return np.minimum.reduce(self._state(x)["slack"][:, :-1], axis=-1)
 
     def _barrier_from_state(
         self, state: dict, t_barrier: np.ndarray
     ) -> np.ndarray:
         """``t·f0 + φ`` per config; +inf outside the domain."""
-        sigma, s_b, s_f = state["sigma"], state["s_b"], state["s_f"]
-        lo, hi = state["lo"], state["hi"]
-        bad = (
-            np.any(sigma <= 0, axis=-1)
-            | (s_b <= 0)
-            | (s_f <= 0)
-            | np.any(lo <= 0, axis=-1)
-            | np.any(hi <= 0, axis=-1)
+        slack, n = state["slack"], self.n
+        lo, hi = n + 2, n + 2 + self.dim
+        logs = np.log(np.maximum(slack, 1e-300))
+        # φ grouped as σ, s_b, s_f, lower, upper.
+        phi = (
+            -_add(logs[:, :n], axis=-1)
+            - logs[:, n]
+            - logs[:, n + 1]
+            - _add(logs[:, lo:hi], axis=-1)
+            - _add(logs[:, hi:], axis=-1)
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = (
-                -np.sum(np.log(np.maximum(sigma, 1e-300)), axis=-1)
-                - np.log(np.maximum(s_b, 1e-300))
-                - np.log(np.maximum(s_f, 1e-300))
-                - np.sum(np.log(np.maximum(lo, 1e-300)), axis=-1)
-                - np.sum(np.log(np.maximum(hi, 1e-300)), axis=-1)
-            )
+        bad = np.logical_or.reduce(slack <= 0, axis=-1)
         return np.where(bad, np.inf, t_barrier * state["f0"] + phi)
-
-    def barrier_value(self, x: np.ndarray, t_barrier: np.ndarray) -> np.ndarray:
-        return self._barrier_from_state(self._state(x), t_barrier)
 
     # -- Newton machinery -------------------------------------------------------
 
     def gradient_and_hessian(self, state: dict, t_barrier: np.ndarray):
-        """Batched barrier gradient (K, dim) and Hessian (K, dim, dim).
+        """Batched barrier gradient (K, dim), Hessian (K, dim, dim) and the
+        delay-slack gradients ``v`` (K, n, 4).
 
-        ``state`` must come from :meth:`_state` at an interior point (every
-        slack positive), which the caller guarantees via the line search.
+        ``v[:, i]`` is ``∇σ_i`` over client ``i``'s ``(p, b, f_c, f_s)`` in
+        scaled coordinates; its ``T`` component is exactly 1.  ``state``
+        must come from :meth:`_state` at an interior point (every slack
+        positive), which the caller guarantees via the line search.
         """
         con, n, dim = self.con, self.n, self.dim
         p, b, f_c, f_s = state["p"], state["b"], state["f_c"], state["f_s"]
         s, onep, inv_r = state["s"], state["onep"], state["inv_r"]
         k = p.shape[0]
         z = self.z
-        ae = con.alpha_e  # (K, 1)
-        tb = t_barrier[:, None]  # (K, 1)
+        # Shared subexpressions are computed once; every entry keeps its
+        # expression (``a * b * c`` is ``(a * b) * c``), so its bits.
+        tae = t_barrier[:, None] * con.alpha_e  # (K, 1)
+        inv_r3 = inv_r**3
 
         # First/second partials of the Shannon rate wrt natural (p, b).
         c = self._c_snr
         r_p = c / (_LN2 * onep)
         r_b = np.log2(onep) - s / (onep * _LN2)
         common = 1.0 / (_LN2 * b * onep**2)
-        r_pp = -(c**2) * common
+        r_pp = self._neg_c2 * common
         r_pb = c * s * common
         r_bb = -(s**2) * common
         rb_s = r_b * B_SCALE  # first derivative wrt scaled b~
+        r_p2 = r_p**2
+        rb_s2 = rb_s**2
 
         grad = np.zeros((k, dim))
         hess = np.zeros((k, dim, dim))
-        ar = self._diag
+        flat = hess.reshape(k, dim * dim)
+        diag = flat[:, ::dim + 1]  # view of the diagonals
 
         # ---- objective (x t_barrier) -----------------------------------------
-        q_p = -0.5 * inv_r**3 / z       # d(1/(4 r^2 z))/dr
+        q_p = -0.5 * inv_r3 / z         # d(1/(4 r^2 z))/dr
         q_pp = 1.5 * inv_r**4 / z       # second derivative wrt r
-        d2z = con.d_tr**2 * z
-        grad[:, 0:n] = tb * ae * (2.0 * d2z * p + q_p * r_p)
-        grad[:, n:2 * n] = tb * ae * q_p * rb_s
-        grad[:, 2 * n:3 * n] = tb * ae * 2.0 * self._enc_e_coeff * f_c * F_SCALE
-        grad[:, 3 * n:4 * n] = tb * ae * 2.0 * self._cmp_e_coeff * f_s * F_SCALE
+        d2z2 = 2.0 * (self._d_tr2 * z)
+        tae2 = tae * 2.0
+        g_enc = tae2 * self._enc_e_coeff
+        g_cmp = tae2 * self._cmp_e_coeff
+        grad[:, 0:n] = tae * (d2z2 * p + q_p * r_p)
+        grad[:, n:2 * n] = tae * q_p * rb_s
+        grad[:, 2 * n:3 * n] = g_enc * f_c * F_SCALE
+        grad[:, 3 * n:4 * n] = g_cmp * f_s * F_SCALE
         grad[:, 4 * n] = t_barrier * con.alpha_t[:, 0] * T_SCALE
 
         # Per-client (p, b) curvature of the objective: q''*grad_r grad_r^T + q'*Hr.
-        o_pp = tb * ae * (2.0 * d2z + q_pp * r_p**2 + q_p * r_pp)
-        o_pb = tb * ae * (q_pp * r_p * rb_s + q_p * r_pb * B_SCALE)
-        o_bb = tb * ae * (q_pp * rb_s**2 + q_p * r_bb * B_SCALE**2)
+        o_pp = tae * (d2z2 + q_pp * r_p2 + q_p * r_pp)
+        o_pb = tae * (q_pp * r_p * rb_s + q_p * r_pb * B_SCALE)
+        o_bb = tae * (q_pp * rb_s2 + q_p * r_bb * B_SCALE**2)
         # Diagonal objective curvature of f_c / f_s.
-        o_cc = tb * ae * 2.0 * self._enc_e_coeff * F_SCALE**2
-        o_ss = tb * ae * 2.0 * self._cmp_e_coeff * F_SCALE**2
+        o_cc = g_enc * F_SCALE**2
+        o_ss = g_cmp * F_SCALE**2
 
         # ---- delay-constraint barriers ---------------------------------------
-        sigma = state["sigma"]
-        inv_sig = 1.0 / sigma
-        inv_sig2 = inv_sig**2
+        # Reciprocal slacks of every constraint at once; T's constant upper
+        # slack has no barrier term.
+        inv = 1.0 / state["slack"]
+        inv[:, -1] = 0.0
+        inv2 = inv**2
+        inv_sig, inv_sig2 = inv[:, :n], inv2[:, :n]
         # grad sigma_n in scaled coordinates (the T component is exactly 1).
         dr2 = con.d_tr * inv_r**2
-        u_p = dr2 * r_p / T_SCALE
-        u_b = dr2 * rb_s / T_SCALE
-        u_c = (con.enc_cycles / f_c**2) * (F_SCALE / T_SCALE)
-        u_s = (self.cycles / f_s**2) * (F_SCALE / T_SCALE)
+        v = np.empty(p.shape + (4,))                              # (K, n, 4)
+        u_p = np.divide(dr2 * r_p, T_SCALE, out=v[..., 0])
+        u_b = np.divide(dr2 * rb_s, T_SCALE, out=v[..., 1])
+        u_c = np.multiply(con.enc_cycles / f_c**2, F_SCALE / T_SCALE, out=v[..., 2])
+        u_s = np.multiply(self.cycles / f_s**2, F_SCALE / T_SCALE, out=v[..., 3])
         # Gradient: -sum_n grad sigma_n / sigma_n.
         grad[:, 0:n] -= u_p * inv_sig
         grad[:, n:2 * n] -= u_b * inv_sig
         grad[:, 2 * n:3 * n] -= u_c * inv_sig
         grad[:, 3 * n:4 * n] -= u_s * inv_sig
-        grad[:, 4 * n] -= np.sum(inv_sig, axis=-1)
+        grad[:, 4 * n] -= _add(inv_sig, axis=-1)
 
         # Curvature -H_sigma/sigma (block-diagonal per client, no T row): the
         # d/r term contributes (-2d/r^3 grad_r grad_r^T + d/r^2 Hr)/T_SCALE,
         # the f_c / f_s terms -2C/f^3 S_F^2/T_SCALE on the diagonal.
-        dr3 = 2.0 * con.d_tr * inv_r**3
-        hs_pp = (-dr3 * r_p**2 + dr2 * r_pp) / T_SCALE
-        hs_pb = (-dr3 * r_p * rb_s + dr2 * r_pb * B_SCALE) / T_SCALE
-        hs_bb = (-dr3 * rb_s**2 + dr2 * r_bb * B_SCALE**2) / T_SCALE
-        hs_cc = -2.0 * con.enc_cycles / f_c**3 * (F_SCALE**2 / T_SCALE)
-        hs_ss = -2.0 * self.cycles / f_s**3 * (F_SCALE**2 / T_SCALE)
+        neg_dr3 = -(self._d_tr_2 * inv_r3)
+        hs_pp = (neg_dr3 * r_p2 + dr2 * r_pp) / T_SCALE
+        hs_pb = (neg_dr3 * r_p * rb_s + dr2 * r_pb * B_SCALE) / T_SCALE
+        hs_bb = (neg_dr3 * rb_s2 + dr2 * r_bb * B_SCALE**2) / T_SCALE
+        hs_cc = self._neg_2enc / f_c**3 * (F_SCALE**2 / T_SCALE)
+        hs_ss = self._neg_2cyc / f_s**3 * (F_SCALE**2 / T_SCALE)
 
         # Assemble per-client 4x4 blocks:
         #   (1/sigma^2) v v^T - (1/sigma) H_sigma + objective (p, b) block.
-        v = np.stack([u_p, u_b, u_c, u_s], axis=-1)              # (K, n, 4)
         block = inv_sig2[..., None, None] * (v[..., :, None] * v[..., None, :])
         pb = o_pb - inv_sig * hs_pb
         block[..., 0, 0] += o_pp - inv_sig * hs_pp
@@ -439,30 +525,72 @@ class _Subproblem:
         block[..., 1, 1] += o_bb - inv_sig * hs_bb
         block[..., 2, 2] += o_cc - inv_sig * hs_cc
         block[..., 3, 3] += o_ss - inv_sig * hs_ss
-        idx4 = self._idx4  # (n, 4)
-        hess[:, self._rows4, self._cols4] += block
-        # T row/column of the rank-one barrier terms (v_T = 1).
-        tcol = inv_sig2[..., None] * v                           # (K, n, 4)
-        hess[:, idx4, 4 * n] += tcol
-        hess[:, 4 * n, idx4] += tcol
-        hess[:, 4 * n, 4 * n] += np.sum(inv_sig2, axis=-1)
+        # T row/column of the rank-one barrier terms (v_T = 1), scattered
+        # with the blocks in one pass (distinct positions of a zero matrix).
+        tcol = (inv_sig2[..., None] * v).reshape(k, 4 * n)
+        flat[:, self._scatter] += np.concatenate(
+            (block.reshape(k, 16 * n), tcol, tcol), axis=1
+        )
+        hess[:, 4 * n, 4 * n] += _add(inv_sig2, axis=-1)
 
         # ---- budget barriers (linear -> rank-one) -----------------------------
-        inv_sb = 1.0 / state["s_b"]
-        inv_sf = 1.0 / state["s_f"]
-        grad[:, n:2 * n] += inv_sb[:, None]
-        grad[:, 3 * n:4 * n] += inv_sf[:, None]
-        hess[:, n:2 * n, n:2 * n] += (inv_sb**2)[:, None, None]
-        hess[:, 3 * n:4 * n, 3 * n:4 * n] += (inv_sf**2)[:, None, None]
+        grad[:, n:2 * n] += inv[:, n, None]
+        grad[:, 3 * n:4 * n] += inv[:, n + 1, None]
+        hess[:, n:2 * n, n:2 * n] += inv2[:, n, None, None]
+        hess[:, 3 * n:4 * n, 3 * n:4 * n] += inv2[:, n + 1, None, None]
 
         # ---- box-bound barriers ----------------------------------------------
-        lo = state["lo"]
-        grad -= 1.0 / lo
-        hess[:, ar, ar] += 1.0 / lo**2
-        inv_hi = np.where(self._ub_finite, 1.0 / state["hi"], 0.0)
-        grad += inv_hi
-        hess[:, ar, ar] += inv_hi**2
-        return grad, hess
+        lo = state["slack"][:, n + 2:n + 2 + dim]
+        grad -= inv[:, n + 2:n + 2 + dim]
+        diag += 1.0 / lo**2
+        grad += inv[:, n + 2 + dim:]
+        diag += inv2[:, n + 2 + dim:]
+        return grad, hess, v
+
+    def step_bound(
+        self, x: np.ndarray, state: dict, step: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        """Per config, a step length from which on some slack is provably ≤ 0.
+
+        Every trial ``x + α·step`` with ``α`` at or above the bound has a
+        slack that :meth:`_state` computes as ≤ 0, so its barrier value is
+        +inf and the line search would reject it.  The box and budget slacks
+        are linear in ``α``; the delay slack ``σ_i = T − delay_i`` is
+        concave, so its tangent ``σ_i + α (step_T + v_i·step_i)`` bounds it
+        from above.  Each prediction must reach ``−margin``, and the margin
+        dominates the rounding of the slack computation and of the trial
+        point: ``_SKIP_MARGIN`` times the magnitudes the slack is computed
+        from — the budget or bound and ``|x|``; ``T`` and the delay terms —
+        plus ``α`` times those of the step's terms, never the slack itself.
+        For ``σ`` these include the conditioning of ``log2(1 + snr)`` (the
+        rate term's relative error grows as ``u / ln(1 + snr)``) and of the
+        ``b`` component of ``v`` (a difference of two ``~1/ln 2`` terms),
+        both taken at the current point; ``tests/core/
+        test_stage3_step_bound.py`` searches real and near-boundary states
+        for a skipped trial inside the domain.  ``state`` must be interior.  A NaN in the state or the step gives a
+        NaN or infinite bound, which skips nothing.
+        """
+        n = self.n
+        slack, b, inv_r = state["slack"], state["b"], state["inv_r"]
+        abs_step = np.abs(step)
+        # reach: the slope of each slack's upper bound along the step.
+        reach = np.empty_like(slack)
+        reach[:, n:] = np.concatenate((step, abs_step), axis=1) @ self._reach_lin
+        vd = v * step[:, self._idx4]
+        reach[:, :n] = (
+            _add(vd + _SKIP_MARGIN * np.abs(vd), axis=-1)
+            + (step[:, 4 * n, None] + _SKIP_MARGIN * abs_step[:, 4 * n, None])
+            + inv_r * (self._margin_vb * (1.0 / b + (2.0 / _LN2) * inv_r))
+            * abs_step[:, n:2 * n]
+        )
+        # room: each slack's upper bound at the current point.
+        room = slack * (1.0 + _SKIP_MARGIN) + self._room
+        room[:, :n] += (2.0 * _SKIP_MARGIN) * x[:, 4 * n, None] + (
+            self._margin_rate * inv_r * inv_r * b
+        )
+        alpha = np.full_like(room, np.inf)
+        np.divide(room, -reach, out=alpha, where=reach < 0)
+        return np.minimum.reduce(alpha, axis=-1)
 
     def newton(
         self,
@@ -476,53 +604,69 @@ class _Subproblem:
 
         ``tol`` is the Newton-decrement stopping target, scalar or per
         config — the path stages use a loose target, the final stage a
-        tight one.
+        tight one, and an infinite target leaves a config where it is.  A
+        config stops on the decrement test, a failed line search or a
+        stall; its point is written back and it leaves the working set
+        (:meth:`select`), so later iterations evaluate only moving configs.
         """
-        k = x.shape[0]
-        tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
-        active = np.ones(k, dtype=bool)
-        stall = np.zeros(k, dtype=int)
-        state = self._state(x)
-        value = self._barrier_from_state(state, t_barrier)
+        out = np.array(x, dtype=float)
+        tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(out),))
+        live = np.flatnonzero(tol < np.inf)
+        if len(live) == 0:
+            return out
+        sub = self if len(live) == len(out) else self.select(live)
+        x, t_barrier, tol = out[live], t_barrier[live], tol[live]
+        stall = np.zeros(len(live), dtype=int)
+        state = sub._state(x)
+        value = sub._barrier_from_state(state, t_barrier)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for _ in range(max_iterations):
                 value_before = value
-                grad, hess = self.gradient_and_hessian(state, t_barrier)
+                grad, hess, v = sub.gradient_and_hessian(state, t_barrier)
                 step = _solve_spd(hess, -grad)
                 gdot = np.einsum("ki,ki->k", grad, step)
-                active = active & (-0.5 * gdot > tol)
-                if not np.any(active):
+                moving = -0.5 * gdot > tol
+                if not moving.any():
                     break
-                # Backtracking line search on the barrier (Armijo bound).
-                alpha = np.where(active, 1.0, 0.0)
-                accepted = ~active
-                for _ in range(_MAX_BACKTRACK):
+                # Backtracking line search on the barrier (Armijo bound),
+                # halving from the first power of two below the step bound:
+                # the trials above it are provably outside the domain.  A
+                # config past its decrement test takes no trial.  A config
+                # off the domain gets no bound: its +inf barrier accepts any
+                # trial, and a warm start that strict_interior_start rescales
+                # into the budgets can land just below a box bound.
+                bound = np.where(
+                    np.isfinite(value), sub.step_bound(x, state, step, v), np.inf
+                )
+                alpha = _first_trial(np.where(moving, bound, 0.0))
+                accepted = np.zeros(len(x), dtype=bool)
+                searching = alpha > 0
+                while searching.any():
                     trial = x + alpha[:, None] * step
-                    trial_state = self._state(trial)
-                    trial_value = self._barrier_from_state(trial_state, t_barrier)
-                    ok = trial_value <= value + _ARMIJO * alpha * gdot
-                    if np.all(ok):
-                        # Inactive configs took a zero step, so a wholesale
-                        # swap is exact for them too.
+                    trial_state = sub._state(trial)
+                    trial_value = sub._barrier_from_state(trial_state, t_barrier)
+                    ok = searching & (
+                        trial_value <= value + _ARMIJO * alpha * gdot
+                    )
+                    if ok.all():
                         x, value, state = trial, trial_value, trial_state
                         accepted = ok
                         break
-                    newly = ok & ~accepted
-                    if np.any(newly):
-                        mask = newly[:, None]
-                        x = np.where(mask, trial, x)
-                        value = np.where(newly, trial_value, value)
+                    if ok.any():
+                        x = np.where(ok[:, None], trial, x)
+                        value = np.where(ok, trial_value, value)
                         for key, arr in state.items():
                             new = trial_state[key]
                             state[key] = np.where(
-                                newly.reshape((-1,) + (1,) * (new.ndim - 1)),
+                                ok.reshape((-1,) + (1,) * (new.ndim - 1)),
                                 new,
                                 arr,
                             )
                         accepted |= ok
-                    if np.all(accepted):
-                        break
-                    alpha = np.where(accepted, 0.0, alpha * 0.5)
+                    alpha = np.where(
+                        searching & ~ok & (alpha > _MIN_STEP), 0.5 * alpha, 0.0
+                    )
+                    searching = alpha > 0
                 # Configs whose line search found no acceptable step are
                 # done, and so are configs making only float64-noise progress
                 # twice in a row — near the cancellation limit of the slack
@@ -530,10 +674,18 @@ class _Subproblem:
                 progress = value_before - value
                 tiny = progress <= 1e-10 * (1.0 + np.abs(value))
                 stall = np.where(tiny, stall + 1, 0)
-                active &= accepted & (stall < 2)
-                if not np.any(active):
-                    break
-        return x
+                moving &= accepted & (stall < 2)
+                if not moving.all():
+                    out[live[~moving]] = x[~moving]
+                    if not moving.any():
+                        return out
+                    live, x, value = live[moving], x[moving], value[moving]
+                    t_barrier, tol = t_barrier[moving], tol[moving]
+                    stall = stall[moving]
+                    state = {key: arr[moving] for key, arr in state.items()}
+                    sub = sub.select(moving)
+        out[live] = x
+        return out
 
 
 def _solve_spd(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -111,13 +111,16 @@ def _strip_runtimes(payload: Any) -> Any:
 
     Two independent solves of one config are deterministic in every output
     except elapsed wall time; comparisons of independently produced payloads
-    ignore exactly those fields.
+    ignore exactly those fields: every key ending in ``runtime_s``
+    (``runtime_s``, ``total_runtime_s``, the ablations' ``transform_runtime_s``
+    and ``direct_runtime_s``, …) and ``wall_time_s``.
     """
     if isinstance(payload, dict):
         return {
             k: _strip_runtimes(v)
             for k, v in payload.items()
-            if k not in ("runtime_s", "total_runtime_s", "wall_time_s")
+            if not (isinstance(k, str)
+                    and (k.endswith("runtime_s") or k == "wall_time_s"))
         }
     if isinstance(payload, list):
         return [_strip_runtimes(v) for v in payload]

@@ -165,6 +165,23 @@ class P2Quantile:
         return self._heights[2]
 
 
+#: ``scipy.stats.t.ppf(0.975, df)`` for ``df = 1 … 30``, as SciPy computes
+#: it: aggregating a campaign of up to 31 seeds then needs no
+#: ``scipy.stats`` import (~0.7 s, paid inside every campaign run).
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+
+
 def ci95_half_width(count: int, std: float) -> float:
     """Half-width of the 95% confidence interval on the mean.
 
@@ -173,9 +190,13 @@ def ci95_half_width(count: int, std: float) -> float:
     """
     if count < 2 or std == 0.0:
         return 0.0
-    from scipy.stats import t
+    if count - 1 <= len(_T975):
+        quantile = _T975[count - 2]
+    else:
+        from scipy.stats import t
 
-    return float(t.ppf(0.975, count - 1)) * std / math.sqrt(count)
+        quantile = float(t.ppf(0.975, count - 1))
+    return quantile * std / math.sqrt(count)
 
 
 class StreamingStats:

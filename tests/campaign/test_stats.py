@@ -112,6 +112,15 @@ class TestCI95:
     def test_shrinks_with_replications(self):
         assert ci95_half_width(64, 1.0) < ci95_half_width(8, 1.0)
 
+    @pytest.mark.parametrize("count", [2, 3, 7, 16, 31, 32, 64])
+    def test_tabled_and_computed_quantiles_match_scipy(self, count):
+        """Small counts read a table instead of importing scipy.stats; it
+        holds SciPy's own values, and larger counts still ask SciPy."""
+        from scipy.stats import t
+
+        expected = float(t.ppf(0.975, count - 1)) * 3.0 / math.sqrt(count)
+        assert ci95_half_width(count, 3.0) == pytest.approx(expected, rel=1e-14)
+
 
 class TestSummary:
     def test_summary_keys_are_the_codec_schema(self):

@@ -75,3 +75,21 @@ class TestConvexificationAblation:
         assert ablation.raw_space_value == pytest.approx(
             ablation.log_space_value, abs=0.2
         )
+
+
+class TestScenarioPayloads:
+    def test_two_runs_compare_equivalent(self):
+        """Two runs of the ``ablations`` scenario at one seed differ only in
+        wall-clock fields, ``transform_runtime_s``/``direct_runtime_s``
+        included, so their payloads compare equivalent."""
+        from repro.api import run_scenario
+        from repro.io import result_to_dict
+        from repro.serve.bench import payloads_equivalent
+
+        first, second = (
+            result_to_dict(run_scenario("ablations", {"seed": 1}).result)
+            for _ in range(2)
+        )
+        assert first["transform"]["transform_runtime_s"] > 0
+        assert payloads_equivalent(first, second)
+        assert not payloads_equivalent(first, second, strict=True)
