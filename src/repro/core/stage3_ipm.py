@@ -94,9 +94,9 @@ _NEWTON_TOL_PATH = 1e-7
 _NEWTON_TOL_FINAL = 1e-11
 _MAX_NEWTON = 60
 _MAX_BACKTRACK = 45
-_MIN_STEP = 2.0 ** (1 - _MAX_BACKTRACK)  # the last line-search trial
-#: 0 (no trial), then every trial 2^-44 … 2^0 in ascending order.
+#: 0 (no trial), then every line-search trial 2^-44 … 2^0 in ascending order.
 _TRIALS = np.concatenate(([0.0], 2.0 ** np.arange(1 - _MAX_BACKTRACK, 1.0)))
+_MIN_STEP = _TRIALS[1]  # the last line-search trial
 _ARMIJO = 0.25
 #: Relative rounding margin of the line-search step bound (~8192 ulps of the
 #: magnitudes a slack is computed from; see ``_Subproblem.step_bound``).
