@@ -4,12 +4,16 @@ The simulator's value rests on cheap events: `docs/simulation.md` promises
 a kernel that sustains tens of thousands of events per wall-clock second.
 The smoke guards enforce the ≥10k events/sec floor on the standard
 ``sim-keyrate`` smoke workload and keep trace recording at ≥0.5× the
-untraced throughput of the same config; the full bench prints the
+untraced throughput of the same config, and check that a finished
+simulation does not outlive its last reference; the full bench prints the
 throughput profile across workloads (clean, demand-loaded, disrupted,
 adaptive).
 
 Run: ``pytest benchmarks/test_sim_throughput.py -m smoke -s``
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -22,6 +26,11 @@ MIN_EVENTS_PER_SECOND = 10_000
 #: Traced throughput as a share of untraced throughput, same config and
 #: process: the determinism audit must not halve the kernel's speed.
 MIN_TRACED_SHARE = 0.5
+
+#: Of two traced simulations run back to back with the cyclic garbage
+#: collector off, the second's tracemalloc peak over the first's: a
+#: finished simulation still alive during the next one (~1.08) fails it.
+MAX_SECOND_PEAK_RATIO = 1.04
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +69,37 @@ def test_trace_recording_overhead_tolerable(config, service):
     assert share >= MIN_TRACED_SHARE, (
         f"trace recording costs too much: traced {best[True]:,.0f} events/s "
         f"is {share:.2f}x untraced {best[False]:,.0f} (< {MIN_TRACED_SHARE}x)"
+    )
+
+
+@pytest.mark.smoke
+def test_finished_simulation_freed_before_the_next(config, service):
+    """A dropped simulation frees its trace by reference counting.
+
+    Two traced simulations run back to back, neither kept, with the cyclic
+    collector off: the second's allocation peak must not stack on the
+    first's retained trace and entities.
+    """
+    params = SimParams(duration_s=30.0, record_trace=True)
+    peaks = []
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            QuantumNetworkSimulation(config, params, seed=2, service=service).run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    ratio = peaks[1] / peaks[0]
+    assert ratio <= MAX_SECOND_PEAK_RATIO, (
+        f"second simulation peaked at {peaks[1] / 2**20:.2f} MB, {ratio:.3f}x "
+        f"the first's {peaks[0] / 2**20:.2f} MB (> {MAX_SECOND_PEAK_RATIO}x): "
+        "the finished first simulation was still alive"
     )
 
 

@@ -12,7 +12,8 @@ only an allocation and objective), plus each solve's Newton iteration count
 * a K=8 ``ConfigBatch``;
 * four mixed-topology configs (3-6 clients, one group per shape);
 * four fig3-style uniform box warm starts;
-* a Stage-3 start that lands just outside the barrier's domain;
+* a Stage-3 start with the bandwidth budget spent and five clients at the
+  bandwidth floor;
 * the fig6 OCCR path through ``baselines_batch``.
 
 The tier-1 test ``tests/core/test_stage3_pins.py`` recomputes and compares
@@ -140,9 +141,10 @@ def _solves() -> List[Tuple[str, Callable[[], List[str]]]]:
                 SolverService().solve_many(configs, initials=starts)]
 
     def off_domain_start():
-        # Budget spent with five clients at the bandwidth floor: rescaled
-        # into the budget, the start lies just below their box bounds.  Two
-        # Alg.-3 rounds of the IPM itself (the full solve crawls for ~5 s).
+        # Budget spent with five clients at the bandwidth floor: the rescale
+        # into the budget shrinks only the excess above the floor, so the
+        # start stays inside the barrier's domain.  Two Alg.-3 rounds of the
+        # IPM itself.
         cfg = paper_config(seed=4)
         start = initial_allocation(cfg)
         b = np.full(cfg.num_clients, 1e3)

@@ -27,7 +27,8 @@ from repro.core.quhe import initial_allocation
 from repro.core.solution import Allocation, Metrics
 from repro.core.stage1 import Stage1Result, Stage1Solver
 from repro.core.stage2 import BranchAndBoundSolver
-from repro.core.stage3 import Stage3Solver
+from repro.core.stage3 import solve_with_fallback
+from repro.errors import SolverError
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,14 @@ def olaa_baseline(
 def occr_baseline(
     config: SystemConfig, *, stage1_result: Optional[Stage1Result] = None
 ) -> BaselineResult:
-    """OCCR: optimise communication/computation resources (Stage 3), λ = 2^15."""
+    """OCCR: optimise communication/computation resources (Stage 3), λ = 2^15.
+
+    A Stage-3 :class:`~repro.errors.SolverError` degrades to the SLSQP
+    reference (:func:`~repro.core.stage3.solve_with_fallback`).
+    """
     s1 = _stage1(config, stage1_result)
     alloc = _aa_allocation(config, s1)
-    s3 = Stage3Solver(config).solve(alloc)
+    s3 = solve_with_fallback(config, alloc)
     alloc = alloc.with_updates(p=s3.p, b=s3.b, f_c=s3.f_c, f_s=s3.f_s, T=s3.T)
     return BaselineResult("OCCR", alloc, QuHEProblem(config).metrics(alloc))
 
@@ -94,7 +99,10 @@ def baselines_batch(
     once, so a K-point sweep pays roughly one Stage-3 price instead of K.
     Configs must share ``num_clients``.  Results match the scalar
     :func:`occr_baseline` (the scalar Stage-3 path runs the same core with
-    a batch of one).
+    a batch of one).  If the batched pass raises a
+    :class:`~repro.errors.SolverError`, every config's Stage 3 is re-solved
+    alone, degrading to the SLSQP reference where the IPM fails again, as
+    :class:`~repro.api.service.SolverService` does.
     """
     from repro.core.stage3_ipm import solve_stage3_batch, stack_stage3_constants
 
@@ -107,26 +115,30 @@ def baselines_batch(
     cycles = np.stack(
         [cfg.server_cycle_demand(a.lam) for cfg, a in zip(configs, allocs)]
     )
-    batch3 = solve_stage3_batch(
-        constants,
-        cycles,
-        np.stack([a.p for a in allocs]),
-        np.stack([a.b for a in allocs]),
-        np.stack([a.f_c for a in allocs]),
-        np.stack([a.f_s for a in allocs]),
-    )
+    try:
+        batch3 = solve_stage3_batch(
+            constants,
+            cycles,
+            np.stack([a.p for a in allocs]),
+            np.stack([a.b for a in allocs]),
+            np.stack([a.f_c for a in allocs]),
+            np.stack([a.f_s for a in allocs]),
+        )
+        stage3 = [
+            (batch3.p[j], batch3.b[j], batch3.f_c[j], batch3.f_s[j],
+             float(batch3.T[j]))
+            for j in range(len(allocs))
+        ]
+    except SolverError:
+        solved = [solve_with_fallback(c, a) for c, a in zip(configs, allocs)]
+        stage3 = [(s.p, s.b, s.f_c, s.f_s, s.T) for s in solved]
     out: "List[Dict[str, BaselineResult]]" = []
     for j, (cfg, alloc) in enumerate(zip(configs, allocs)):
         problem = QuHEProblem(cfg)
         s2 = BranchAndBoundSolver(cfg).solve(alloc)
         olaa = alloc.with_updates(lam=s2.lam, T=s2.T)
-        occr = alloc.with_updates(
-            p=batch3.p[j],
-            b=batch3.b[j],
-            f_c=batch3.f_c[j],
-            f_s=batch3.f_s[j],
-            T=float(batch3.T[j]),
-        )
+        p, b, f_c, f_s, t = stage3[j]
+        occr = alloc.with_updates(p=p, b=b, f_c=f_c, f_s=f_s, T=t)
         out.append(
             {
                 "AA": BaselineResult("AA", alloc, problem.metrics(alloc)),

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.core.config import SystemConfig
+from repro.errors import ConfigurationError
 from repro.quantum.utility import (
     optimal_link_werner,
     stage1_objective_and_gradient,
@@ -83,7 +84,7 @@ class Stage1Solver:
             phi = self.config.min_rates + 0.5 * (phi - self.config.min_rates)
         if self._is_interior(self.config.min_rates):
             return self.config.min_rates.copy()
-        raise ValueError(
+        raise ConfigurationError(
             "no strictly feasible starting point found: even φ_min violates the "
             "capacity or fidelity constraints (19a)/(19b)"
         )

@@ -26,6 +26,7 @@ from scipy import optimize
 
 from repro.core.config import SystemConfig
 from repro.core.solution import Allocation
+from repro.errors import SolverError
 from repro.wireless.rate import uplink_rate
 
 #: Internal unit scales (SI value = scaled value × scale).
@@ -344,3 +345,18 @@ class Stage3Solver:
             transform_gap=gaps,
             converged=converged,
         )
+
+
+def solve_with_fallback(config: SystemConfig, alloc: Allocation) -> Stage3Result:
+    """Stage 3 on the IPM, re-solved on the SLSQP reference if it raises.
+
+    The graceful degradation :class:`~repro.api.service.SolverService`
+    applies to whole solves, for the callers that run Stage 3 on its own
+    (Fig. 4's first pass and the OCCR baseline): a
+    :class:`~repro.errors.SolverError` of the IPM re-solves the same start
+    with ``inner="slsqp"``.
+    """
+    try:
+        return Stage3Solver(config).solve(alloc)
+    except SolverError:
+        return Stage3Solver(config, inner="slsqp").solve(alloc)

@@ -224,6 +224,26 @@ def _p5_value(con: Stage3Constants, cycles, p, b, f_c, f_s) -> np.ndarray:
     )
 
 
+def _into_budget(x: np.ndarray, floor: float, total: np.ndarray) -> np.ndarray:
+    """Clip each row of ``x`` to ``floor`` and rescale it into ``0.995·total``.
+
+    The rescale divides the whole row.  Where that would put an entry below
+    its floor — outside the barrier's domain — only the excess above the
+    floor shrinks instead, when the budget holds every floor.
+    """
+    x = np.clip(x, floor, None)
+    cap = 0.995 * total
+    scaled = x / np.maximum(np.sum(x, axis=-1, keepdims=True) / cap, 1.0)
+    room = cap - floor * x.shape[-1]  # the budget left above the floors
+    low = np.any(scaled < floor, axis=-1, keepdims=True) & (room > 0)
+    if not low.any():
+        return scaled
+    excess = x - floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrunk = floor + excess * (room / np.sum(excess, axis=-1, keepdims=True))
+    return np.where(low, shrunk, scaled)
+
+
 def strict_interior_start(con: Stage3Constants, cycles, p, b, f_c, f_s):
     """Clip an allocation into the strict interior of the feasible set.
 
@@ -232,13 +252,9 @@ def strict_interior_start(con: Stage3Constants, cycles, p, b, f_c, f_s):
     needs positive slack on every constraint, bounds included.
     """
     p = np.clip(p, 1.0001e-4 * con.p_max, (1.0 - 1e-7) * con.p_max)
-    b = np.clip(b, 1.0001e-3 * B_SCALE, None)
-    scale_b = np.sum(b, axis=-1, keepdims=True) / (0.995 * con.b_total)
-    b = b / np.maximum(scale_b, 1.0)
+    b = _into_budget(b, 1.0001e-3 * B_SCALE, con.b_total)
     f_c = np.clip(f_c, 1.0001e-3 * F_SCALE, (1.0 - 1e-7) * con.fc_max)
-    f_s = np.clip(f_s, 1.0001e-3 * F_SCALE, None)
-    scale_f = np.sum(f_s, axis=-1, keepdims=True) / (0.995 * con.fs_total)
-    f_s = f_s / np.maximum(scale_f, 1.0)
+    f_s = _into_budget(f_s, 1.0001e-3 * F_SCALE, con.fs_total)
     delays = _delays(con, cycles, p, b, f_c, f_s)
     t = np.max(delays, axis=-1) * (1.0 + 1e-6) + 1e-9
     return p, b, f_c, f_s, t
@@ -633,8 +649,7 @@ class _Subproblem:
                 # the trials above it are provably outside the domain.  A
                 # config past its decrement test takes no trial.  A config
                 # off the domain gets no bound: its +inf barrier accepts any
-                # trial, and a warm start that strict_interior_start rescales
-                # into the budgets can land just below a box bound.
+                # trial, so a start outside the domain still moves.
                 bound = np.where(
                     np.isfinite(value), sub.step_bound(x, state, step, v), np.inf
                 )

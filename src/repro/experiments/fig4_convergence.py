@@ -19,7 +19,7 @@ from repro.core.config import SystemConfig
 from repro.core.quhe import initial_allocation
 from repro.core.stage1 import Stage1Solver
 from repro.core.stage2 import BranchAndBoundSolver
-from repro.core.stage3 import Stage3Solver
+from repro.core.stage3 import solve_with_fallback
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ def run_convergence(config: SystemConfig) -> ConvergenceTraces:
     the three stage solvers once from the cold start (Stage 2 as the
     branch-and-bound whose incumbent Fig. 4(b) plots), then take the total
     runtime and outer-iteration count from a full
-    :class:`~repro.api.service.SolverService` solve.
+    :class:`~repro.api.service.SolverService` solve.  A Stage-3
+    :class:`~repro.errors.SolverError` degrades the first pass to the SLSQP
+    reference, as the service does for the full solve.
     """
     from repro.api.service import SolverService
 
@@ -60,7 +62,7 @@ def run_convergence(config: SystemConfig) -> ConvergenceTraces:
     alloc = alloc.with_updates(phi=s1.phi, w=s1.w)
     s2 = BranchAndBoundSolver(config).solve(alloc)
     alloc = alloc.with_updates(lam=s2.lam, T=s2.T)
-    s3 = Stage3Solver(config).solve(alloc)
+    s3 = solve_with_fallback(config, alloc)
     result = SolverService().solve(config)
     return ConvergenceTraces(
         stage1_objective=list(s1.history),

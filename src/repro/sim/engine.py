@@ -31,10 +31,11 @@ A heap entry is the tuple ``(time, priority, seq, event)``.  ``seq`` is
 unique, so :mod:`heapq` orders entries in C on exactly the key above and
 never compares two :class:`Event` objects.  A :class:`Process` re-arms
 through the same push as :meth:`Simulator.schedule`, reusing one
-:class:`Event` per process for all of its step events.  The trace is
-columnar (times in an ``array('d')``, tags as shared string references)
-and is folded into the digest in chunks at the end of each
-:meth:`Simulator.run`; SHA-256 is streaming, so the digest equals the
+:class:`Event` per process for all of its step events.  The trace is kept
+in chunks of ``TRACE_CHUNK`` events: the open chunk holds times in an
+``array('d')`` and tags as shared string references; when it fills, it is
+folded into the digest and its tags become integer codes into the
+simulator's tag table.  SHA-256 is streaming, so the digest equals the
 per-event ``pack("<d", time) + tag.encode()`` formula byte for byte.
 
 See ``docs/simulation.md`` for the event model and a worked example of
@@ -57,10 +58,18 @@ from repro import faults as _faults
 
 __all__ = ["Event", "Entity", "Process", "RngStreams", "Simulator"]
 
-#: Events folded into the trace digest per ``sha256.update`` call.
-TRACE_HASH_CHUNK = 1 << 16
+#: Events per trace chunk: the open chunk is hashed and coded when it fills.
+TRACE_CHUNK = 1 << 13
 
 _pack_time = struct.Struct("<d").pack
+
+
+def _chunk_bytes(times: array, tags: List[str]) -> bytes:
+    """The digest input of a run of events: ``pack("<d", t) + tag`` each."""
+    encoded = {tag: tag.encode("utf-8") for tag in set(tags)}
+    return b"".join(chain.from_iterable(zip(
+        map(_pack_time, times), map(encoded.__getitem__, tags)
+    )))
 
 
 def _inert() -> None:
@@ -245,12 +254,14 @@ class Simulator:
         self._entities: List[Entity] = []
         self._started = 0  # entities already start()ed
         self.events_processed = 0
-        # Columnar trace: processed-event times and tags, plus how many of
-        # them the digest already covers.
-        self._trace_times: Optional[array] = array("d") if record_trace else None
-        self._trace_tags: List[str] = []
-        self._trace_hashed = 0
+        # Chunked trace: full chunks as (times, tag codes) pairs, already in
+        # the digest; the open chunk's times and tag strings; the tag table.
         self._trace_hash = hashlib.sha256() if record_trace else None
+        self._trace_chunks: List[Tuple[array, array]] = []
+        self._open_times = array("d")
+        self._open_tags: List[str] = []
+        self._tag_codes: Dict[str, int] = {}
+        self._tag_names: List[str] = []
 
     # -- clock & randomness ---------------------------------------------------
 
@@ -323,10 +334,12 @@ class Simulator:
             entity.start()
         heap = self._heap
         pop = heappop
-        tracing = self._trace_times is not None
+        tracing = self._trace_hash is not None
         if tracing:
-            log_time = self._trace_times.append
-            log_tag = self._trace_tags.append
+            log_time = self._open_times.append
+            log_tag = self._open_tags.append
+            # the value of ``processed`` at which the open chunk is full
+            close_at = TRACE_CHUNK - len(self._open_tags)
         processed = 0
         try:
             while heap and heap[0][0] <= until:
@@ -338,13 +351,32 @@ class Simulator:
                 if tracing:
                     log_time(time)
                     log_tag(event.tag)
+                    if processed == close_at:
+                        self._close_chunk()
+                        close_at += TRACE_CHUNK
                 event.fn()
         finally:
             self.events_processed += processed
-            if tracing:
-                self._hash_trace()
         self._now = float(until)
         return processed
+
+    def release(self) -> None:
+        """Drop the pending events and the entities of a finished run.
+
+        Every entity points back at the simulator (``entity.sim``) and every
+        process's step event at its process, so while the simulator holds
+        them they form reference cycles that only the cyclic garbage
+        collector frees.  After ``release`` the clock, the counters and the
+        trace stay readable, and the last reference to the simulator frees
+        it and its trace at once.  Pending events are discarded and the
+        processes' step events made inert.
+        """
+        for entity in self._entities:
+            if isinstance(entity, Process):
+                entity._event.fn = _inert
+        self._heap.clear()
+        self._entities.clear()
+        self._started = 0
 
     def _inject_storm(self, until: float) -> None:
         """The ``sim.storm`` fault seam: a deterministic no-op event burst.
@@ -369,41 +401,50 @@ class Simulator:
 
     # -- audit ----------------------------------------------------------------
 
-    def _hash_trace(self) -> None:
-        """Fold the trace entries not yet hashed into the digest.
+    def _close_chunk(self) -> None:
+        """Fold the full open chunk into the digest, store it coded, empty it.
 
-        Each entry contributes ``pack("<d", time) + tag.encode("utf-8")``,
-        in trace order; hashing them a chunk at a time gives the same
-        SHA-256 as hashing them one by one.
+        Hashing chunk by chunk gives the same SHA-256 as hashing event by
+        event.  Tags new to the table get the next codes; the codes are
+        ``'H'`` while the table fits 16 bits and ``'L'`` past that.
         """
-        times, tags = self._trace_times, self._trace_tags
-        end = len(times)
-        for lo in range(self._trace_hashed, end, TRACE_HASH_CHUNK):
-            hi = min(lo + TRACE_HASH_CHUNK, end)
-            chunk = tags[lo:hi]
-            encoded = {tag: tag.encode("utf-8") for tag in set(chunk)}
-            self._trace_hash.update(b"".join(chain.from_iterable(zip(
-                map(_pack_time, times[lo:hi]), map(encoded.__getitem__, chunk)
-            ))))
-        self._trace_hashed = end
+        times, tags = self._open_times, self._open_tags
+        codes, names = self._tag_codes, self._tag_names
+        for tag in set(tags).difference(codes):
+            codes[tag] = len(names)
+            names.append(tag)
+        self._trace_hash.update(_chunk_bytes(times, tags))
+        code = "H" if len(names) <= 1 << 16 else "L"
+        self._trace_chunks.append(
+            (times[:], array(code, map(codes.__getitem__, tags)))
+        )
+        del times[:]
+        tags.clear()
 
     @property
     def trace(self) -> List[Tuple[float, str]]:
         """``(time, tag)`` pairs of processed events (``record_trace`` only)."""
-        if self._trace_times is None:
+        if self._trace_hash is None:
             raise RuntimeError("trace recording is off; pass record_trace=True")
-        return list(zip(self._trace_times, self._trace_tags))
+        name = self._tag_names.__getitem__
+        pairs: List[Tuple[float, str]] = []
+        for times, codes in self._trace_chunks:
+            pairs.extend(zip(times, map(name, codes)))
+        pairs.extend(zip(self._open_times, self._open_tags))
+        return pairs
 
     def trace_digest(self) -> str:
         """SHA-256 over the processed-event trace; '' when tracing is off.
 
         Two runs of the same simulation are identical iff their digests
-        match — the determinism tests rely on exactly this.
+        match — the determinism tests rely on exactly this.  The open chunk
+        is hashed into a copy, so the trace can keep growing.
         """
         if self._trace_hash is None:
             return ""
-        self._hash_trace()
-        return self._trace_hash.hexdigest()
+        digest = self._trace_hash.copy()
+        digest.update(_chunk_bytes(self._open_times, self._open_tags))
+        return digest.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -31,6 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.errors import ReproError
 from repro.quantum.topology import QKDNetwork
 from repro.sim.engine import Simulator
 from repro.sim.processes import (
@@ -401,7 +402,7 @@ class QuantumNetworkSimulation:
                     [candidates[i] for i in pending],
                     initials=[self._warm_start] * len(pending),
                 )
-            except Exception:
+            except ReproError:
                 # A batch can die on a speculative candidate; the current
                 # world alone decides whether this re-optimization counts
                 # as failed.
@@ -410,11 +411,12 @@ class QuantumNetworkSimulation:
                         solved_current = self.service.solve_many(
                             candidates[:1], initials=[self._warm_start]
                         )
-                    except Exception:
+                    except ReproError:
                         # A transient world (e.g. heavily degraded network)
                         # the solver cannot handle keeps the previous
-                        # allocation in force; config construction stays
-                        # outside the catch so its bugs surface.
+                        # allocation in force.  Only typed failures count:
+                        # config construction stays outside the catch and a
+                        # programming error in the solver propagates.
                         self.reopt_failures += 1
                         return
                     if keys[0] is not None:
@@ -457,7 +459,7 @@ class QuantumNetworkSimulation:
         reopt_times = (
             list(self.adaptation.reopt_times) if self.adaptation is not None else []
         )
-        return SimulationResult(
+        result = SimulationResult(
             duration_s=params.duration_s,
             seed=self.seed,
             allocated_phi=list(self._initial_phi),
@@ -487,6 +489,19 @@ class QuantumNetworkSimulation:
                 list(r.link_ids) for r in self.config.network.routes
             ],
         )
+        # Drop the references that close the finished object graph into
+        # cycles (the simulator's entities and pending events, the
+        # processes' callbacks into this orchestrator), so the caller's last
+        # reference frees the simulation and its trace at once instead of
+        # at the next full garbage collection.
+        self.sim.release()
+        if self.adaptation is not None:
+            self.adaptation.reoptimize = None
+        if self.disruption is not None:
+            self.disruption.on_change = None
+        if self.fading is not None:
+            self.fading.on_change = None
+        return result
 
 
 def run_adaptive_study(

@@ -92,3 +92,37 @@ class TestOrdering:
         result = average_allocation(typical_cfg)
         expected = np.array([2.098, 1.106, 1.103, 1.872, 0.6864, 0.5781])
         assert np.allclose(result.allocation.phi, expected, atol=2e-3)
+
+
+class TestStage3Failure:
+    """A Stage-3 failure degrades the OCCR baseline instead of raising."""
+
+    @staticmethod
+    def _one_failure():
+        from repro.faults import FaultPlan, FaultRule
+
+        return FaultPlan(rules=(
+            FaultRule(seam="solver.stage3", kind="solver_fail"),)).activate()
+
+    def test_occr_degrades_to_slsqp(self, typical_cfg, shared_stage1):
+        clean = occr_baseline(typical_cfg, stage1_result=shared_stage1)
+        with self._one_failure():
+            degraded = occr_baseline(typical_cfg, stage1_result=shared_stage1)
+        assert degraded.objective == pytest.approx(clean.objective, rel=1e-4)
+        assert QuHEProblem(typical_cfg).is_feasible(degraded.allocation, tol=1e-5)
+
+    def test_failed_batch_resolves_each_config(self, typical_cfg, shared_stage1):
+        """The failed batched pass re-solves every config alone on the IPM,
+        to the bits the clean batch gives."""
+        from repro.core.baselines import baselines_batch
+
+        configs = [typical_cfg.with_total_bandwidth(v) for v in (8e6, 1.2e7)]
+        stage1 = [shared_stage1] * len(configs)
+        clean = baselines_batch(configs, stage1_results=stage1)
+        with self._one_failure():
+            recovered = baselines_batch(configs, stage1_results=stage1)
+        for want, got in zip(clean, recovered):
+            for name in ("AA", "OLAA", "OCCR"):
+                assert got[name].objective == want[name].objective
+                assert np.array_equal(got[name].allocation.b,
+                                      want[name].allocation.b)

@@ -27,6 +27,7 @@ from repro.core.stage3_ipm import (
     _Subproblem,
     _delays,
     _first_trial,
+    _solve_spd,
     stack_stage3_constants,
     strict_interior_start,
 )
@@ -236,3 +237,47 @@ def test_non_finite_bound_skips_nothing(subproblem):
     # A zero step reaches no slack: no bound, so no trial is skipped.
     bound = sub.step_bound(x, state, np.zeros_like(x), v)
     assert _first_trial(bound).tolist() == [1.0]
+
+
+# -- off the domain -----------------------------------------------------------
+
+
+def test_off_domain_point_takes_the_full_newton_step(subproblem):
+    """A point off the barrier's domain gets no step bound: its +inf
+    barrier accepts the first trial, so Newton takes the whole step.
+
+    Four clients sit at 0.995 kHz, just under their 1 kHz bandwidth bound
+    (where rescaling a floor-clipped start into the budget used to put
+    them); bounding the step there would reject every trial and strand
+    the config outside the domain.
+    """
+    sub, x = subproblem
+    x = x.copy()
+    n = sub.n
+    x[0, n + 1:2 * n - 1] = 0.995e-3
+    _lift_t(sub, x)
+    t_barrier = np.ones(1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        state = sub._state(x)
+        assert sub._barrier_from_state(state, t_barrier)[0] == np.inf
+        grad, hess, _ = sub.gradient_and_hessian(state, t_barrier)
+    step = _solve_spd(hess, -grad)
+    out = sub.newton(x, t_barrier, max_iterations=1)
+    np.testing.assert_array_equal(out, x + 1.0 * step)
+
+
+def test_start_with_clients_at_the_floors_stays_in_the_domain():
+    """Budgets spent with five clients at the bandwidth and server-CPU
+    floors: the rescale into the budgets keeps every slack positive."""
+    cfg = paper_config(seed=4)
+    con = stack_stage3_constants([cfg])
+    alloc = initial_allocation(cfg)
+    b = np.full(cfg.num_clients, 1e3)
+    b[0] = cfg.server.total_bandwidth_hz - b[1:].sum()
+    f_s = np.full(cfg.num_clients, 1e6)
+    f_s[0] = cfg.server.total_frequency_hz - f_s[1:].sum()
+    cycles = cfg.server_cycle_demand(alloc.lam)[None, :]
+    start = strict_interior_start(
+        con, cycles, alloc.p[None], b[None], alloc.f_c[None], f_s[None])
+    sub = _Subproblem(con, cycles, np.full((1, cfg.num_clients), 0.5))
+    assert (sub._state(sub.pack(*start))["slack"] > 0).all()

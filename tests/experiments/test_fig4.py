@@ -53,3 +53,18 @@ class TestTraces:
         order of magnitude (< 100 for every stage)."""
         assert traces.stage1_iterations < 100
         assert traces.stage3_iterations < 100
+
+
+def test_stage3_failure_degrades_the_first_pass():
+    """A one-shot Stage-3 failure re-solves the first pass on SLSQP; the
+    scenario completes."""
+    from repro.api import run_scenario
+    from repro.faults import FaultPlan, FaultRule
+
+    plan = FaultPlan(rules=(
+        FaultRule(seam="solver.stage3", kind="solver_fail"),))
+    with plan.activate():
+        record = run_scenario("fig4", {"seed": 0})
+    traces = record.result
+    assert len(traces.stage3_objective) >= 1
+    assert traces.stage3_iterations > 0

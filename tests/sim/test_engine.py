@@ -1,10 +1,13 @@
 """The discrete-event kernel: ordering, processes, RNG streams."""
 
+import gc
 import hashlib
 import struct
+import weakref
 
 import pytest
 
+from repro.sim import engine
 from repro.sim.engine import Process, RngStreams, Simulator
 
 
@@ -315,3 +318,44 @@ class TestTrace:
         assert sim.trace_digest() == ""
         with pytest.raises(RuntimeError, match="trace recording is off"):
             sim.trace
+
+    def test_tag_table_past_16_bits(self):
+        """Chunks that bring the tag table past 65 536 tags still code."""
+        count = (1 << 16) + 2 * engine.TRACE_CHUNK
+        sim = Simulator(record_trace=True)
+        for i in range(count):
+            sim.schedule(i * 1e-3, lambda: None, tag=f"t{i}")
+        sim.run(until=float(count))
+        want = [(i * 1e-3, f"t{i}") for i in range(count)]
+        assert sim.trace == want
+        assert sim.trace_digest() == reference_digest(want)
+
+
+class TestRelease:
+    def _finished(self):
+        sim = Simulator(record_trace=True)
+        ticker = sim.add(_Ticker(interval=1.0))
+        sim.schedule(9.0, lambda: None, tag="late")
+        sim.run(until=2.5)
+        return sim, ticker
+
+    def test_trace_clock_and_counters_stay_readable(self):
+        sim, _ = self._finished()
+        before = (sim.now, sim.events_processed, sim.trace, sim.trace_digest())
+        sim.release()
+        assert (sim.now, sim.events_processed, sim.trace,
+                sim.trace_digest()) == before
+        assert sim.run(until=10.0) == 0  # the pending events are gone
+
+    def test_last_reference_frees_the_simulator_without_gc(self):
+        sim, ticker = self._finished()
+        sim.release()
+        ref = weakref.ref(sim)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del sim, ticker
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -9,13 +9,18 @@ random programs — schedules with tied times and mixed priorities,
 cancellations, events scheduled from inside handlers, process pause/resume
 and several ``run(until)`` calls — and runs each program on both kernels.
 Fired order, trace, digest, clock and counters must agree after every run.
+The property runs with the trace chunk size patched to 1 and 3 as well as
+the default, so chunks fill both mid-run and between runs.
 """
 
 import hashlib
 import struct
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import engine
 from repro.sim.engine import Process, Simulator
 
 
@@ -140,7 +145,12 @@ class RealAdapter:
         )
 
     def run(self, until):
-        return self.sim.run(until=until)
+        count = self.sim.run(until=until)
+        # Every stored chunk is full and the open one never is.
+        assert len(self.sim._open_tags) < engine.TRACE_CHUNK
+        assert all(len(times) == len(codes) == engine.TRACE_CHUNK
+                   for times, codes in self.sim._trace_chunks)
+        return count
 
     def state(self):
         sim = self.sim
@@ -250,13 +260,15 @@ PROGRAMS = st.tuples(
 )
 
 
+@pytest.mark.parametrize("chunk", [1, 3, engine.TRACE_CHUNK])
 @settings(max_examples=300, deadline=None)
-@given(PROGRAMS)
-def test_kernel_matches_reference_model(program):
-    real = ProgramRunner(RealAdapter())
-    reference = ProgramRunner(ReferenceAdapter())
-    for got, want in zip(real.play(program), reference.play(program)):
-        assert got == want
+@given(program=PROGRAMS)
+def test_kernel_matches_reference_model(chunk, program):
+    with mock.patch.object(engine, "TRACE_CHUNK", chunk):
+        real = ProgramRunner(RealAdapter())
+        reference = ProgramRunner(ReferenceAdapter())
+        for got, want in zip(real.play(program), reference.play(program)):
+            assert got == want
 
 
 def test_reference_model_covers_inert_process_events():

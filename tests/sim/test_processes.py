@@ -5,6 +5,7 @@ import pytest
 
 from repro.api.service import SolverService
 from repro.core.config import paper_config
+from repro.errors import SolverError
 from repro.sim import QuantumNetworkSimulation, SimParams
 from repro.sim.engine import Simulator
 from repro.sim.processes import (
@@ -28,6 +29,22 @@ def service():
 @pytest.fixture(scope="module")
 def allocation(config, service):
     return service.solve(config).allocation
+
+
+class _FailingService:
+    """Solves the baseline; every re-optimization solve raises ``error``."""
+
+    def __init__(self, service, error):
+        self.service = service
+        self.error = error
+        self.calls = 0
+
+    def solve(self, config):
+        return self.service.solve(config)
+
+    def solve_many(self, configs, initials=None):
+        self.calls += 1
+        raise self.error
 
 
 class TestAllocationState:
@@ -228,6 +245,40 @@ class TestAdaptation:
         assert result.outage_count >= 1
         assert len(result.reopt_times) >= 4   # periodic + outage-triggered
         assert result.reopt_failures == 0
+
+    def test_reopt_failure_keeps_allocation(self, config, service):
+        """A typed solver failure keeps the allocation in force and counts
+        one failure per re-optimization; the run completes."""
+        failing = _FailingService(service, SolverError("singular"))
+        result = QuantumNetworkSimulation(
+            config, SimParams(duration_s=10.0, reopt_interval_s=6.0),
+            seed=1, service=failing,
+        ).run()
+        assert result.reopt_times == [6.0]
+        assert result.reopt_failures == 1
+        assert failing.calls == 2  # the batch, then the current world alone
+
+    def test_programming_error_in_solver_propagates(self, config, service):
+        failing = _FailingService(service, TypeError("bug"))
+        simulation = QuantumNetworkSimulation(
+            config, SimParams(duration_s=10.0, reopt_interval_s=6.0),
+            seed=1, service=failing,
+        )
+        with pytest.raises(TypeError, match="bug"):
+            simulation.run()
+
+    def test_infeasible_world_counts_as_failure(self, config, service):
+        """Down links cut to 1% of their rate leave φ_min infeasible: Stage
+        1 raises a typed error, which the re-optimizer counts."""
+        result = QuantumNetworkSimulation(
+            config,
+            SimParams(duration_s=30.0, outage_rate=0.3, outage_duration_s=20.0,
+                      reopt_interval_s=5.0, outage_beta_factor=0.01,
+                      record_trace=False),
+            seed=1, service=service,
+        ).run()
+        assert result.outage_count >= 1
+        assert result.reopt_failures >= 1
 
     def test_monitor_sampling_grid(self, config, service):
         result = QuantumNetworkSimulation(

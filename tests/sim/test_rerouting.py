@@ -8,10 +8,12 @@ yield model, the strike-mode outage pools, and — in fresh subprocesses —
 the seed-stability of both new scenarios.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +311,37 @@ class TestReroutingInSimulation:
                     assert not down.intersection(ids)
         assert result.reroute_count == len(result.reroutes)
         assert len(result.final_route_links) == 3
+
+    def test_finished_simulation_freed_without_gc(self):
+        """A finished routed simulation holds no reference cycle: dropping
+        it frees its simulator and trace with the cyclic collector off,
+        and what it leaves readable reads as before."""
+        topo = grid_topology(3, 4, num_clients=3)
+        ctrl = RouteController(topo, k=3, policy="proactive")
+        config = config_for_topology(topo, ctrl.initial_routes(), seed=3)
+        params = SimParams(
+            duration_s=10.0, demand_factor=0.8, outage_rate=0.3,
+            outage_duration_s=4.0, reopt_interval_s=5.0, fading_interval_s=5.0,
+            strike="any",
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = QuantumNetworkSimulation(config, params, seed=3, router=ctrl)
+            result = sim.run()
+            assert sim.disruption.outages and sim.adaptation.reopt_times
+            assert sim.sim.trace_digest() == result.trace_digest
+            assert len(sim.sim.trace) == result.events_processed
+            assert [s.pairs_generated for s in sim.sources] == (
+                result.pairs_generated)
+            assert sim.buffers.delivered_bits == result.delivered_bits
+            assert sim.monitor.sample_times == result.sample_times
+            ref = weakref.ref(sim.sim)
+            del sim
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_router_topology_must_match_config(self):
         topo = grid_topology(3, 4, num_clients=3)
