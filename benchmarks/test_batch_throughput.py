@@ -4,9 +4,9 @@ The smoke floors protect the batched backend's reason to exist: on a
 single process it must beat the serial scalar loop by a wide margin on the
 Fig.-6 bandwidth sweep, while agreeing with it within 1e-9 on the
 objective.  The full measured numbers live in ``BENCH_batch.json``
-(``scripts/bench_batch.py``, whose ``--check`` mode enforces the ≥ 5×
-acceptance floor); the smoke floor here is deliberately looser (≥ 2.5×) so
-CI jitter cannot flake it.
+(``python scripts/bench.py batch``, whose ``--check`` mode enforces the
+≥ 5× acceptance floor); the smoke floor here is deliberately looser
+(≥ 2.5×) so CI jitter cannot flake it.
 
 Run: ``pytest benchmarks/test_batch_throughput.py -m smoke -s``
 """
@@ -117,6 +117,10 @@ def test_floor_helper_flags_regressions():
     assert broken and "below the" in broken[0]
     missing = check_floors([fast], [Floor(op="absent")])
     assert missing and "missing" in missing[0]
+    unproven = check_floors(
+        [fast], [Floor(op="noop", min_param=("proven", True))]
+    )
+    assert unproven and "hard check" in unproven[0]
 
 
 @pytest.mark.bench

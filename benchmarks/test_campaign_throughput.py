@@ -4,9 +4,10 @@ The smoke floor protects the campaign runner's reason to exist: a
 replicated grid study must beat naive per-cell scenario runs (one fresh
 service and one cold scalar solve per cell — what N separate ``repro run``
 invocations cost) by a wide margin on a single core.  The full measured
-numbers live in ``BENCH_campaign.json`` (``scripts/bench_campaign.py``,
-whose ``--check`` mode enforces the ≥ 3× acceptance floor); the smoke
-floor here is deliberately looser (≥ 1.8×) so CI jitter cannot flake it.
+numbers live in ``BENCH_campaign.json`` (``python scripts/bench.py
+campaign``, whose ``--check`` mode enforces the ≥ 3× acceptance floor);
+the smoke floor here is deliberately looser (≥ 1.8×) so CI jitter cannot
+flake it.
 
 Run: ``pytest benchmarks/test_campaign_throughput.py -m smoke -s``
 """

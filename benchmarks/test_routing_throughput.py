@@ -5,8 +5,8 @@ simulations stay in the simulator's throughput class — rerouting hooks on
 the link-change path must not turn the event loop into a graph-algorithm
 loop — and that candidate-path construction is a setup-time cost, not a
 per-event one.  The smoke guards enforce both on a 16-node Waxman
-topology; ``scripts/bench_routing.py`` prints the full 16/64/128-node
-scaling profile.
+topology; ``python scripts/bench.py routing`` records the full
+16/64/128-node scaling profile.
 
 Run: ``pytest benchmarks/test_routing_throughput.py -m smoke -s``
 """

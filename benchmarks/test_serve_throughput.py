@@ -6,9 +6,9 @@ coalescing must beat the coalescing-off configuration (which still enjoys
 in-batch dedup) on identical-fingerprint no-cache traffic.  The full
 measured numbers — 1000 closed-loop clients, the N-identical→1-solve
 proof, and the byte-identity check — live in ``BENCH_serve.json``
-(``scripts/bench_serve.py``, whose ``--check`` mode enforces the
-acceptance floors); the smoke floors here are deliberately looser so CI
-jitter cannot flake them.
+(``python scripts/bench.py serve``, whose ``--check`` mode enforces the
+acceptance floors and hard checks); the smoke floors here are deliberately
+looser so CI jitter cannot flake them.
 
 Run: ``pytest benchmarks/test_serve_throughput.py -m smoke -s``
 """

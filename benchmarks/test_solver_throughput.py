@@ -3,7 +3,7 @@
 The API-redesign acceptance criteria live here: ``solve_many`` must agree
 with a loop of scalar solves, and the fingerprint cache must turn repeat
 solves into sub-millisecond lookups.  Batch *speedup* is recorded by
-``scripts/bench_solver.py`` → ``BENCH_solver.json``.
+``python scripts/bench.py solver`` → ``BENCH_solver.json``.
 
 Run::
 

@@ -33,8 +33,9 @@ interchangeable backends:
   per prime, and elements stay in the evaluation domain between
   operations.  Ring-level multiplication is two to three orders of
   magnitude faster than the reference path at production degrees
-  (≈890× at n=4096 on the committed ``BENCH_crypto.json`` snapshot; see
-  ``benchmarks/test_crypto_throughput.py`` and ``scripts/bench_crypto.py``).
+  (≈490× at n=4096 on the committed ``BENCH_crypto.json`` snapshot; see
+  ``benchmarks/test_crypto_throughput.py`` and the crypto suite of
+  ``scripts/bench.py``).
 * **Reference**: arbitrary-precision Python integers with Kronecker
   substitution.  Exact for *any* modulus; used automatically when no
   NTT-friendly chain exists for the requested parameters.

@@ -8,8 +8,9 @@ returns a :class:`ServeBenchResult`: sustained request rate, p50/p99
 latency, and the server's own counters (coalesced, backend solves, shed).
 
 The ``serve-bench`` scenario wraps this for ``repro run serve-bench`` /
-``repro serve-bench``; ``scripts/bench_serve.py`` composes several runs
-(coalescing on vs off, 1k-client sustained) into ``BENCH_serve.json``.
+``repro serve-bench``; the serve suite of ``scripts/bench.py`` composes
+several runs (coalescing on vs off, 1k-client sustained) into
+``BENCH_serve.json``.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def run_serve_bench(
     possible).  ``retry=True`` drives requests through
     :meth:`~repro.serve.client.ServeClient.solve_with_retry`; the resulting
     ``availability`` field is the non-overload success fraction the chaos
-    floor in ``scripts/bench_serve.py`` asserts on.
+    floor of ``scripts/bench.py``'s serve suite asserts on.
     """
     if clients < 1 or distinct < 1:
         raise ValueError("clients and distinct must be >= 1")

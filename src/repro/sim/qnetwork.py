@@ -69,10 +69,10 @@ class SimParams:
     outage_duration_s: float = 20.0
     #: block-fading epoch length (0 disables fading)
     fading_interval_s: float = 0.0
-    #: re-optimization cadence (0 = static policy, never re-solve)
+    #: re-optimization cadence (0 = static policy, never re-solve); an
+    #: adaptive run also re-optimizes at once on every outage, recovery and
+    #: fading epoch
     reopt_interval_s: float = 0.0
-    #: also re-optimize immediately on outage/recovery and fading epochs
-    reopt_on_events: bool = True
     #: per-(route, link) pending-pair memory (finite quantum memory)
     pending_cap: int = 32
     #: β multiplier applied to down links in the re-optimization config;
@@ -83,9 +83,6 @@ class SimParams:
     outage_beta_factor: float = 0.25
     #: record the event trace (enables ``trace_digest``; cheap)
     record_trace: bool = True
-    #: when links are down, also solve the candidate recovered worlds in
-    #: the same batch so the next recovery re-optimization is a cache hit
-    prefetch_recoveries: bool = True
     #: entanglement-swapping completion policy along multi-hop routes
     #: (see :class:`~repro.sim.processes.RouteBuffers`)
     swap_policy: str = "atomic"
@@ -269,7 +266,7 @@ class QuantumNetworkSimulation:
         self._link_up[link_index] = is_up
         if self.router is not None:
             self._apply_routing()
-        if self.adaptation is not None and self.params.reopt_on_events:
+        if self.adaptation is not None:
             self.adaptation.request()
 
     def _apply_routing(self) -> None:
@@ -308,7 +305,7 @@ class QuantumNetworkSimulation:
         self.sim.schedule(0.0, lambda: None, tag="reroute")
 
     def _on_fading_change(self) -> None:
-        if self.adaptation is not None and self.params.reopt_on_events:
+        if self.adaptation is not None:
             self.adaptation.request()
 
     def current_config(self, link_up: Optional[List[bool]] = None) -> SystemConfig:
@@ -346,16 +343,14 @@ class QuantumNetworkSimulation:
         """The current world plus its most likely successors.
 
         The first candidate is always the world to apply.  When links are
-        down and recovery prefetching is on, the worlds in which one of
-        them has recovered (and the all-up world) ride along in the same
-        batch: they share the vectorized solve and land in this
-        simulation's re-optimization memo, turning the next
-        recovery-triggered re-optimization into a lookup.
+        down, the worlds in which one of them has recovered (and the all-up
+        world) ride along in the same batch: they share the vectorized
+        solve and land in this simulation's re-optimization memo, turning
+        the next recovery-triggered re-optimization into a lookup.
         """
         candidates = [self.current_config()]
         if (
-            self.params.prefetch_recoveries
-            and self.router is None  # a recovery would reroute first, so
+            self.router is None  # a recovery would reroute first, so
             # the prefetched world's routes would not match; skip the
             # speculation rather than solve configs that can never apply
             and self.disruption is not None

@@ -1,8 +1,7 @@
 """Tiny benchmarking helper emitting machine-readable JSON.
 
-Used by ``benchmarks/test_crypto_throughput.py`` and
-``scripts/bench_crypto.py`` to record the perf trajectory of the crypto
-substrate (and any other hot path) in a stable schema::
+Used by ``scripts/bench.py`` and the ``benchmarks/`` smoke tests to time
+hot paths, record them in a stable schema and check them against floors::
 
     {
       "meta": {"timestamp": ..., "python": ..., "numpy": ...},
@@ -12,6 +11,9 @@ substrate (and any other hot path) in a stable schema::
         ...
       ]
     }
+
+The files are strict JSON: a row without a timing (a proof or an identity
+check) carries ``null`` for both timing fields.
 
 Timing strategy: one warm-up call (to amortise lazy table builds and JIT-ish
 caches), then batches of increasing size until ``min_duration`` of total
@@ -25,39 +27,35 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One timed operation."""
+    """One timed operation; ``seconds_per_op`` is ``None`` for a row
+    without a timing."""
 
     op: str
     backend: str
     params: Dict[str, Any] = field(default_factory=dict)
     reps: int = 0
-    seconds_per_op: float = float("nan")
+    seconds_per_op: Optional[float] = None
 
     @property
-    def ops_per_second(self) -> float:
-        return 1.0 / self.seconds_per_op if self.seconds_per_op > 0 else float("inf")
+    def ops_per_second(self) -> Optional[float]:
+        return None if self.seconds_per_op is None else 1.0 / self.seconds_per_op
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.op,
-            "backend": self.backend,
-            "params": dict(self.params),
-            "reps": self.reps,
-            "seconds_per_op": self.seconds_per_op,
-            "ops_per_second": self.ops_per_second,
-        }
+        return {**asdict(self), "ops_per_second": self.ops_per_second}
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         extras = " ".join(f"{k}={v}" for k, v in self.params.items())
+        if self.seconds_per_op is None:
+            return f"{self.op:>16s} [{self.backend}] {extras}: no timing"
         return (
             f"{self.op:>16s} [{self.backend}] {extras}: "
             f"{self.seconds_per_op * 1e3:.3f} ms/op "
@@ -73,11 +71,9 @@ def time_op(
     params: Dict[str, Any] | None = None,
     min_duration: float = 0.2,
     max_reps: int = 10_000,
-    warmup: bool = True,
 ) -> BenchResult:
     """Time ``fn`` until ``min_duration`` seconds accumulate (≥1 rep)."""
-    if warmup:
-        fn()
+    fn()
     total = 0.0
     reps = 0
     batch = 1
@@ -116,39 +112,48 @@ def _bench_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
-def write_results(path: str | Path, results: Iterable[BenchResult]) -> Path:
-    """Write a JSON benchmark report; returns the path written."""
+def write_results(
+    path: str | Path,
+    results: Iterable[BenchResult],
+    *,
+    meta: Optional[Mapping[str, Any]] = None,
+) -> Path:
+    """Write a JSON benchmark report; returns the path written.
+
+    ``meta`` adds keys to the report's ``meta`` block.  The report is
+    strict JSON: a non-finite number anywhere raises ``ValueError`` and
+    nothing is written.
+    """
     payload = {
         "meta": {
             "timestamp": _bench_timestamp(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            **(meta or {}),
         },
         "results": [r.to_dict() for r in results],
     }
     out = Path(path)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return out
 
 
-def load_results(path: str | Path) -> List[Dict[str, Any]]:
-    """Read back the ``results`` list of a report written by write_results."""
-    return json.loads(Path(path).read_text())["results"]
-
-
-# -- floor checking (the shared ``--check`` mode of scripts/bench_*.py) --------
+# -- floor checking (the ``--check`` mode of scripts/bench.py) -----------------
 
 
 @dataclass(frozen=True)
 class Floor:
-    """A performance floor on one benchmark op.
+    """A floor on one benchmark op.
 
-    ``min_ops_per_second`` guards throughput ops; ``min_ratio_vs`` guards a
+    ``min_ops_per_second`` guards throughput ops; ``min_ratio`` guards a
     relative speedup: the op must be at least ``min_ratio`` times faster
-    (lower ``seconds_per_op``) than the op named ``min_ratio_vs`` in the
-    same result set.  ``backend`` narrows the match when one op is recorded
-    under several backends.
+    (lower ``seconds_per_op``) than op ``min_ratio_vs`` (by default the
+    same op) in the same result set.  ``min_param`` is a hard check
+    ``(name, minimum)`` on the row's ``params[name]``; a flag that must
+    hold takes ``True``.  ``backend`` and ``min_ratio_vs_backend`` narrow
+    the match when one op is recorded under several backends.  A row
+    without a timing fails every throughput and ratio floor.
     """
 
     op: str
@@ -160,57 +165,63 @@ class Floor:
     #: optional params subset a result must carry to be governed/referenced
     #: (e.g. ``{"n": 4096}`` to floor only the paper-sized ring)
     params: Any = None
+    min_param: Optional[Tuple[str, Any]] = None
+    #: which run records the row: ``"both"``, or ``"full"``/``"quick"``
+    #: for a row only that run's grid produces (read by scripts/bench.py)
+    mode: str = "both"
 
-    def _matches(self, result: BenchResult) -> bool:
-        return (
-            result.op == self.op
-            and (self.backend is None or result.backend == self.backend)
-            and self._params_match(result)
-        )
-
-    def _params_match(self, result: BenchResult) -> bool:
-        if not self.params:
-            return True
-        return all(result.params.get(k) == v for k, v in self.params.items())
+    def _rows(
+        self, results: List[BenchResult], op: str, backend: str | None
+    ) -> List[BenchResult]:
+        """The rows of ``op`` (under ``backend``, if given) that carry
+        ``params``."""
+        return [
+            r for r in results
+            if r.op == op
+            and backend in (None, r.backend)
+            and all(r.params.get(k) == v for k, v in (self.params or {}).items())
+        ]
 
     def violations(self, results: List[BenchResult]) -> List[str]:
-        mine = [r for r in results if self._matches(r)]
+        mine = self._rows(results, self.op, self.backend)
         if not mine:
             return [f"floor on {self.op!r}: op missing from the results"]
+        vs = self.min_ratio_vs or self.op
+        reference = [
+            r.ops_per_second
+            for r in self._rows(results, vs, self.min_ratio_vs_backend)
+            if r.seconds_per_op is not None
+        ]
         problems: List[str] = []
         for result in mine:
+            row = f"{result.op} [{result.backend}]"
+            rate = result.ops_per_second or 0.0
             if (
                 self.min_ops_per_second is not None
-                and result.ops_per_second < self.min_ops_per_second
+                and rate < self.min_ops_per_second
             ):
                 problems.append(
-                    f"{result.op} [{result.backend}]: "
-                    f"{result.ops_per_second:.1f} op/s below the "
+                    f"{row}: {rate:.1f} op/s below the "
                     f"{self.min_ops_per_second:.1f} op/s floor"
                 )
-            if self.min_ratio is not None and self.min_ratio_vs is not None:
-                reference = [
-                    r
-                    for r in results
-                    if r.op == self.min_ratio_vs
-                    and (
-                        self.min_ratio_vs_backend is None
-                        or r.backend == self.min_ratio_vs_backend
+            if self.min_param is not None:
+                name, minimum = self.min_param
+                value = result.params.get(name)
+                if value is None or value < minimum:
+                    problems.append(
+                        f"{row}: {name}={value!r} fails the hard check "
+                        f"{name} >= {minimum!r}"
                     )
-                    and self._params_match(r)
-                ]
+            if self.min_ratio is not None:
                 if not reference:
                     problems.append(
-                        f"floor on {self.op!r}: reference op "
-                        f"{self.min_ratio_vs!r} missing"
+                        f"floor on {self.op!r}: reference op {vs!r} missing"
                     )
                     continue
-                base = min(r.seconds_per_op for r in reference)
-                ratio = base / result.seconds_per_op
+                ratio = rate / max(reference)
                 if ratio < self.min_ratio:
                     problems.append(
-                        f"{result.op} [{result.backend}]: only {ratio:.2f}x "
-                        f"faster than {self.min_ratio_vs} "
+                        f"{row}: only {ratio:.2f}x faster than {vs} "
                         f"(floor {self.min_ratio:.2f}x)"
                     )
         return problems
@@ -225,18 +236,3 @@ def check_floors(
     for floor in floors:
         problems.extend(floor.violations(result_list))
     return problems
-
-
-def run_check(results: Iterable[BenchResult], floors: Iterable[Floor]) -> int:
-    """Print violations and return a process exit code (0 = floors hold).
-
-    The shared ``--check`` implementation for the ``scripts/bench_*.py``
-    family: run the benchmark, then ``sys.exit(run_check(results, FLOORS))``.
-    """
-    problems = check_floors(results, floors)
-    if problems:
-        for problem in problems:
-            print(f"FLOOR VIOLATION: {problem}")
-        return 1
-    print("all performance floors hold")
-    return 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api.service import SolverService
+from repro.api.service import SolverService, config_fingerprint
 from repro.core.config import paper_config
 from repro.errors import SolverError
 from repro.sim import QuantumNetworkSimulation, SimParams
@@ -45,6 +45,22 @@ class _FailingService:
     def solve_many(self, configs, initials=None):
         self.calls += 1
         raise self.error
+
+
+class _RecordingService:
+    """Delegates to ``service``; records each re-optimization batch as the
+    fingerprints of its configs."""
+
+    def __init__(self, service):
+        self.service = service
+        self.batches = []
+
+    def solve(self, config):
+        return self.service.solve(config)
+
+    def solve_many(self, configs, initials=None):
+        self.batches.append([config_fingerprint(c) for c in configs])
+        return self.service.solve_many(configs, initials=initials)
 
 
 class TestAllocationState:
@@ -279,6 +295,39 @@ class TestAdaptation:
         ).run()
         assert result.outage_count >= 1
         assert result.reopt_failures >= 1
+
+    def test_recovery_is_answered_from_the_prefetched_memo(
+        self, config, service
+    ):
+        """A re-optimization while links are down also solves the worlds in
+        which they recover; when one of those worlds comes about, its
+        re-optimization reads the memo and calls no solver."""
+        recording = _RecordingService(service)
+        simulation = QuantumNetworkSimulation(
+            config,
+            SimParams(duration_s=120.0, outage_rate=0.05,
+                      reopt_interval_s=30.0, record_trace=False),
+            seed=2, service=recording,
+        )
+        reoptimize = simulation.adaptation.reoptimize
+        applied, prefetched = set(), set()
+        answered = []  # (all links up, solver calls) per prefetched world
+
+        def logged_reoptimize():
+            world = config_fingerprint(simulation.current_config())
+            before = len(recording.batches)
+            reoptimize()
+            if world in prefetched and world not in applied:
+                answered.append((all(simulation.disruption.link_up),
+                                 len(recording.batches) - before))
+            applied.add(world)
+            prefetched.update(key for batch in recording.batches[before:]
+                              for key in batch if key != world)
+
+        simulation.adaptation.reoptimize = logged_reoptimize
+        simulation.run()
+        assert (True, 0) in answered  # a recovery to zero links down
+        assert [calls for _, calls in answered] == [0] * len(answered)
 
     def test_monitor_sampling_grid(self, config, service):
         result = QuantumNetworkSimulation(
