@@ -73,10 +73,11 @@ def test_stage1_dedup_amortizes(typical_cfg):
 
 @pytest.mark.smoke
 def test_stack_tax_stays_amortized(sweep_configs, capsys):
-    """ISSUE 10: stacking a ConfigBatch must remain a rounding error next
-    to the solve it feeds.  The script floor is ≤ 10% of a K=64 solve;
-    here a CI-safe ≤ 25% on the smoke-sized sweep (construction is O(K·n)
-    python loops, the solve is the expensive part by orders of magnitude)."""
+    """Stacking a ConfigBatch must remain a rounding error next to the
+    solve it feeds.  The ``scripts/bench.py batch`` floor is ≤ 1/46.3
+    (2.2%) of a K=64 solve; here a CI-safe ≤ 25% on the smoke-sized sweep
+    (construction is O(K·n) python loops, the solve is the expensive part
+    by orders of magnitude)."""
     from repro.core.batch import ConfigBatch
 
     reps = 5

@@ -87,19 +87,6 @@ def fig5() -> Any:
     return scenario("fig5", **STAGE1_BUDGETS)
 
 
-def config_batch() -> Any:
-    from repro.core.batch import ConfigBatch
-    from repro.core.config import paper_config
-
-    return ConfigBatch.from_configs([paper_config(seed=2), paper_config(seed=3)])
-
-
-def solution_batch() -> Any:
-    from repro.core.batch import SolutionBatch
-
-    return SolutionBatch.from_results([solve(), scenario("solve", seed=3)])
-
-
 def campaign_result() -> Any:
     from repro.campaign import CampaignSpec, run_campaign
 
@@ -159,8 +146,6 @@ BUILDERS: Dict[str, Callable[[], Any]] = {
     "stage2_result": lambda: solve().stage2,
     "stage3_result": lambda: solve().stage3,
     "quhe_result": solve,
-    "config_batch": config_batch,
-    "solution_batch": solution_batch,
     "stage1_method_comparison": lambda: scenario("table5", **STAGE1_BUDGETS),
     "optimality_study": lambda: scenario("fig3", samples=2),
     "convergence_traces": lambda: scenario("fig4"),

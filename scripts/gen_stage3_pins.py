@@ -98,7 +98,7 @@ def _solves() -> List[Tuple[str, Callable[[], List[str]]]]:
     from repro.core.config import paper_config
     from repro.core.quhe import initial_allocation
     from repro.core.stage1 import Stage1Solver
-    from repro.core.stage3_ipm import solve_stage3_batch, stack_stage3_constants
+    from repro.core.stage3_ipm import solve_stage3_batch
     from repro.experiments.fig3_optimality import _random_start
     from repro.experiments.fig6_sweeps import PAPER_SWEEPS
     from repro.sim.routing import RouteController
@@ -150,7 +150,7 @@ def _solves() -> List[Tuple[str, Callable[[], List[str]]]]:
         b = np.full(cfg.num_clients, 1e3)
         b[0] = cfg.server.total_bandwidth_hz - b[1:].sum()
         out = solve_stage3_batch(
-            stack_stage3_constants([cfg]),
+            ConfigBatch.from_configs([cfg]).stage3_constants(),
             cfg.server_cycle_demand(start.lam)[None],
             start.p[None], b[None], start.f_c[None], start.f_s[None],
             max_outer_iterations=2)

@@ -67,8 +67,8 @@ class FingerprintError(ValueError):
 def _canonical(value: Any) -> Any:
     """Recursively convert ``value`` into a JSON-stable structure."""
     if isinstance(value, QKDNetwork):
-        # Not a dataclass (it carries a networkx graph); its identity is
-        # fully determined by links + routes + key centre.
+        # Not a dataclass; its identity is fully determined by links +
+        # routes + key centre.
         return {
             "__type__": "QKDNetwork",
             "links": [_canonical(link) for link in value.links],
@@ -400,10 +400,9 @@ class SolverService:
 
         The zero-copy sibling of :meth:`solve_many`: the batch's columns
         feed :meth:`BatchedQuHE.solve_config_batch` directly — no per-call
-        object→array stacking, no shape regrouping — and the result is a
-        :class:`~repro.core.batch.SolutionBatch` whose ``[i]`` views equal
-        the scalar results.  Caching and dedup behave as in
-        :meth:`solve_many`.
+        object→array stacking, no shape regrouping — and the results come
+        back, in batch order, as a :class:`~repro.core.batch.SolutionBatch`.
+        Caching and dedup behave as in :meth:`solve_many`.
         """
         return self._solve(batch, use_cache=use_cache)
 
@@ -425,8 +424,7 @@ class SolverService:
         :class:`ConfigBatch`, the shape-grouped ``solve_batch`` for a list.
 
         Returns one result per input, in input order: a list, or a
-        :class:`SolutionBatch` for a :class:`ConfigBatch` (the solver's own
-        columns when every input was a distinct miss).
+        :class:`SolutionBatch` for a :class:`ConfigBatch`.
         """
         k = len(configs)
         if initials is None:
@@ -464,7 +462,6 @@ class SolverService:
             else:
                 queued.add(key)
                 pending.append(i)
-        solution: Optional[SolutionBatch] = None
         if pending:
             for _ in pending:
                 _faults.fire("worker.solve")
@@ -475,8 +472,7 @@ class SolverService:
                         configs if len(pending) == k
                         else configs.select(pending)
                     )
-                    solution = self._batched.solve_config_batch(sub, starts)
-                    solved = solution.to_results()
+                    solved = self._batched.solve_config_batch(sub, starts)
                 else:
                     solved = self._batched.solve_batch(
                         [configs[i] for i in pending], starts
@@ -497,11 +493,9 @@ class SolverService:
                 if use_cache and cacheable[i]:
                     self._cache_put(keys[i], result)
         ordered = [results[key] for key in keys]
-        if not isinstance(configs, ConfigBatch):
-            return ordered
-        if solution is not None and len(pending) == k:
-            return solution
-        return SolutionBatch.from_results(ordered)
+        if isinstance(configs, ConfigBatch):
+            return SolutionBatch(ordered)
+        return ordered
 
     def _solve_alone(
         self, config: SystemConfig, initial: Optional[Allocation]

@@ -29,6 +29,8 @@ Artifact layout (``out_dir``)::
         result.json          # bare repro.io payload
     cells_failed/<cell_id>/
         error.json           # exception chain of a quarantined cell
+    canonical/
+        chunk_NNNNN.json     # canonical-batch results of chunk NNNNN
     aggregate.json           # campaign_result payload (rewritten per run)
 
 Failure semantics (``docs/robustness.md``): every cell gets
@@ -57,7 +59,12 @@ from repro.campaign.spec import (
     Cell,
     load_spec,
 )
-from repro.io import atomic_write_text
+from repro.io import (
+    atomic_write_bytes,
+    atomic_write_text,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.utils.retry import RetryPolicy, retry_call
 
 PathLike = Union[str, Path]
@@ -74,7 +81,7 @@ __all__ = [
 MANIFEST_FILENAME = "campaign.json"
 AGGREGATE_FILENAME = "aggregate.json"
 CELLS_DIRNAME = "cells"
-#: Columnar canonical-batch artifacts (one solution_batch npz per chunk).
+#: Canonical-batch results (one JSON array of quhe_result payloads per chunk).
 CANONICAL_DIRNAME = "canonical"
 FAILED_DIRNAME = "cells_failed"
 ERROR_FILENAME = "error.json"
@@ -272,47 +279,37 @@ class CampaignRunner:
     def _solve_canonical_batch(
         self, index: int, configs: List[Any]
     ) -> List[Any]:
-        """Solve one canonical chunk batch, streamed through npz artifacts.
+        """Solve one canonical chunk batch, kept as a JSON chunk file.
 
-        A uniform-shape batch's canonical results persist as one columnar
-        ``solution_batch`` npz under ``out_dir/canonical/``: a resumed run
-        memory-maps the artifact back instead of re-solving, and the
-        loaded views carry the exact floats of the original solve
-        (byte-identical records).  A corrupt or missing artifact silently
-        falls back to solving.
+        The results persist under ``out_dir/canonical/`` as one JSON array
+        of ``quhe_result`` payloads; a resumed run decodes them instead of
+        re-solving, and the decoded results carry the exact floats of the
+        original solve (byte-identical records).  An unreadable chunk is
+        ignored and re-solved.  Neither the read nor the write passes a
+        fault seam: whether the file exists differs between a resumed run
+        and an uninterrupted one, so drawing from a seam here would shift
+        every later fault decision.
         """
-        from repro.core.batch import ConfigBatch
-        from repro.errors import ArtifactError
-
-        shapes = {
-            (c.num_clients, len(c.cost_model.lambda_set)) for c in configs
-        }
-        if len(shapes) != 1:
-            return self.service.solve_many(configs, use_cache=False)
-        from repro import io as repro_io
-
         path: Optional[Path] = None
         if self.out_dir is not None:
             path = (
-                self.out_dir / CANONICAL_DIRNAME / f"chunk_{index:05d}.npz"
+                self.out_dir / CANONICAL_DIRNAME / f"chunk_{index:05d}.json"
             )
-            if path.exists():
-                try:
-                    solution = repro_io.load_batch_npz(path)
-                except (ArtifactError, OSError, ValueError):
-                    solution = None
-                if solution is not None and len(solution) == len(configs):
-                    return [solution[i] for i in range(len(configs))]
-        solution = self.service.solve_batch(
-            ConfigBatch.from_configs(configs), use_cache=False
-        )
+            try:
+                payloads = json.loads(path.read_text())
+                if len(payloads) == len(configs):
+                    return [result_from_dict(p) for p in payloads]
+            except (OSError, TypeError, ValueError):
+                pass  # absent, torn or not a chunk: solve it again
+        results = self.service.solve_many(configs, use_cache=False)
         if path is not None:
+            text = json.dumps([result_to_dict(r) for r in results])
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                repro_io.save_batch_npz(solution, path)
-            except (OSError, ValueError, TypeError):
-                pass  # the stream cache is best-effort; the solve succeeded
-        return [solution[i] for i in range(len(configs))]
+                atomic_write_bytes(path, text.encode(), fault_seam=None)
+            except OSError:
+                pass  # the chunk file is best-effort; the solve succeeded
+        return results
 
     # -- persistence ----------------------------------------------------------
 
@@ -450,8 +447,6 @@ class CampaignRunner:
     def _write_aggregate(self, result: CampaignResult) -> None:
         if self.out_dir is None:
             return
-        from repro.io import result_to_dict
-
         _write_json(self.out_dir / AGGREGATE_FILENAME, result_to_dict(result))
 
     # -- execution ------------------------------------------------------------

@@ -97,21 +97,22 @@ def baselines_batch(
     AA and OLAA are cheap per config; OCCR's Stage-3 solve — the expensive
     part — runs on the batched interior-point core for the whole batch at
     once, so a K-point sweep pays roughly one Stage-3 price instead of K.
-    Configs must share ``num_clients``.  Results match the scalar
-    :func:`occr_baseline` (the scalar Stage-3 path runs the same core with
-    a batch of one).  If the batched pass raises a
+    Configs must share ``num_clients`` and λ-set length.  Results match
+    the scalar :func:`occr_baseline` (the scalar Stage-3 path runs the same
+    core with a batch of one).  If the batched pass raises a
     :class:`~repro.errors.SolverError`, every config's Stage 3 is re-solved
     alone, degrading to the SLSQP reference where the IPM fails again, as
     :class:`~repro.api.service.SolverService` does.
     """
-    from repro.core.stage3_ipm import solve_stage3_batch, stack_stage3_constants
+    from repro.core.batch import ConfigBatch
+    from repro.core.stage3_ipm import solve_stage3_batch
 
     if stage1_results is None:
         stage1_results = [_stage1(cfg, None) for cfg in configs]
     allocs = [
         _aa_allocation(cfg, s1) for cfg, s1 in zip(configs, stage1_results)
     ]
-    constants = stack_stage3_constants(configs)
+    constants = ConfigBatch.from_configs(configs).stage3_constants()
     cycles = np.stack(
         [cfg.server_cycle_demand(a.lam) for cfg, a in zip(configs, allocs)]
     )

@@ -1,145 +1,31 @@
-"""Columnar structure-of-arrays batches: the native solver interchange.
+"""Columnar configuration batches: the solver's input side.
 
 :class:`ConfigBatch` holds K same-shape :class:`~repro.core.config.SystemConfig`
 instances as contiguous ``(K, n)`` / ``(K, m)`` / ``(K,)`` NumPy columns —
 the stacked per-client tables, cost-model vectors and scalar fields that
-:class:`~repro.core.batched.BatchedQuHE` previously rebuilt from Python
-objects on *every* call.  Stacking now happens once, at construction, and
-every downstream consumer (Stage-2 tables, the Stage-3 interior-point core,
-the serve daemon's micro-batcher, campaign prefetch) reads column views.
+:class:`~repro.core.batched.BatchedQuHE` would otherwise rebuild from Python
+objects on every call.  Stacking happens once, at construction, and the
+Stage-2 tables and the Stage-3 interior-point core read column views.
 
-:class:`SolutionBatch` is the mirror image on the output side: every
-:class:`~repro.core.quhe.QuHEResult` field stored as stacked columns (ragged
-sequences — per-link ``w``, objective histories, Stage-3 traces — as
-flat-array + offsets pairs), with Stage-1 results kept as shared object
-references so the dedup identity (``results[i].stage1 is results[j].stage1``)
-survives the columnar round trip.
-
-Both batches expose the legacy scalar API through cheap lazy views:
-``batch[i]`` materializes a :class:`SystemConfig` / :class:`QuHEResult`
-facade on demand (and caches it), so existing per-config call sites keep
-working unchanged.  Both serialize to plain-JSON payloads (the
-``config_batch`` / ``solution_batch`` codecs in :mod:`repro.io`) and to
-zero-copy npz artifacts (:func:`repro.io.save_batch_npz` /
-:func:`repro.io.load_batch_npz`, which memory-maps the columns straight out
-of the zip members).
+:class:`SolutionBatch` is what a columnar solve returns: the solver's own
+:class:`~repro.core.quhe.QuHEResult` objects in batch order.
 
 Columns are *views into shared arrays*; treat them as read-only.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.compute.cost_models import CostModel
-from repro.compute.devices import ClientNode, EdgeServer
 from repro.core.config import SystemConfig
 from repro.core.quhe import QuHEResult
-from repro.core.solution import Allocation, Metrics
-from repro.core.stage1 import Stage1Result
-from repro.core.stage2 import Stage2Result
-from repro.core.stage3 import Stage3Result
 from repro.core.stage3_ipm import Stage3Constants
-from repro.quantum.routing import Route
-from repro.quantum.topology import Link, QKDNetwork
 
 __all__ = ["ConfigBatch", "SolutionBatch"]
 
-
-# -- ragged columns --------------------------------------------------------------
-
-
-def _ragged(rows: Sequence[Sequence[float]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack variable-length float rows into ``(flat, offsets)`` columns."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, row in enumerate(rows):
-        offsets[i + 1] = offsets[i] + len(row)
-    flat = np.empty(int(offsets[-1]), dtype=float)
-    for i, row in enumerate(rows):
-        flat[offsets[i]:offsets[i + 1]] = np.asarray(row, dtype=float)
-    return flat, offsets
-
-
-def _ragged_row(flat: np.ndarray, offsets: np.ndarray, i: int) -> np.ndarray:
-    return flat[int(offsets[i]):int(offsets[i + 1])]
-
-
-def _ragged_list(flat: np.ndarray, offsets: np.ndarray, i: int) -> List[float]:
-    return [float(v) for v in _ragged_row(flat, offsets, i)]
-
-
-# -- callable identity (mirrors the fingerprint convention of repro.api) ---------
-
-
-def _callable_ref(fn: Callable) -> Dict[str, str]:
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", None)
-    if not module or not qualname or "<locals>" in qualname:
-        raise ValueError(
-            "ConfigBatch artifacts require module-level cost-model callables; "
-            f"got {fn!r}"
-        )
-    return {"module": module, "qualname": qualname}
-
-
-def _resolve_callable(ref: Dict[str, str]) -> Callable:
-    obj: Any = importlib.import_module(ref["module"])
-    for part in ref["qualname"].split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def _network_payload(network: QKDNetwork) -> Dict[str, Any]:
-    return {
-        "key_center": network.key_center,
-        "links": [
-            [link.link_id, link.endpoints[0], link.endpoints[1],
-             float(link.length_km), float(link.beta)]
-            for link in network.links
-        ],
-        "routes": [
-            [route.route_id, route.source, route.target,
-             [int(l) for l in route.link_ids]]
-            for route in network.routes
-        ],
-    }
-
-
-def _network_from_payload(payload: Dict[str, Any]) -> QKDNetwork:
-    links = tuple(
-        Link(int(lid), (str(u), str(v)), float(length), float(beta))
-        for lid, u, v, length, beta in payload["links"]
-    )
-    routes = tuple(
-        Route(int(rid), str(src), str(tgt), tuple(int(l) for l in lids))
-        for rid, src, tgt, lids in payload["routes"]
-    )
-    return QKDNetwork(links, routes, key_center=str(payload["key_center"]))
-
-
-def _cost_model_payload(model: CostModel) -> Dict[str, Any]:
-    return {
-        "eval_cycles": _callable_ref(model.eval_cycles),
-        "cmp_cycles": _callable_ref(model.cmp_cycles),
-        "msl_bits": _callable_ref(model.msl_bits),
-        "lambda_set": list(model.lambda_set),
-    }
-
-
-def _cost_model_from_payload(payload: Dict[str, Any]) -> CostModel:
-    return CostModel(
-        eval_cycles=_resolve_callable(payload["eval_cycles"]),
-        cmp_cycles=_resolve_callable(payload["cmp_cycles"]),
-        msl_bits=_resolve_callable(payload["msl_bits"]),
-        lambda_set=tuple(payload["lambda_set"]),
-    )
-
-
-# -- ConfigBatch -----------------------------------------------------------------
 
 #: Column names of :class:`ConfigBatch`, grouped by shape.
 _CONFIG_CLIENT_COLS = (
@@ -161,11 +47,9 @@ class ConfigBatch:
     Per-client columns are ``(K, n)``; cost-model columns are ``(K, m)``
     (``m = len(lambda_set)``); scalar columns are ``(K,)``.  ``tokens_ratio``
     and ``server_cycles`` / ``msl_bits`` are precomputed at construction —
-    they are the tables Stage 2 previously re-derived per call.
+    they are the tables Stage 2 would otherwise re-derive per call.
 
-    ``batch[i]`` returns the i-th :class:`SystemConfig`: the original object
-    when the batch was built by :meth:`from_configs`, a lazily reconstructed
-    (and cached) facade when the batch was loaded from an artifact.
+    ``batch[i]`` returns the i-th source :class:`SystemConfig`.
     """
 
     # (K, n) per-client columns
@@ -194,53 +78,8 @@ class ConfigBatch:
     b_total: np.ndarray
     fs_total: np.ndarray
     kappa_s: np.ndarray
-    #: Identity of the non-numeric parts: unique network / cost-model
-    #: payloads plus a per-config index into each.  Built lazily from
-    #: ``_configs`` on first serialization — closure-based cost models stay
-    #: solvable, they just refuse to serialize (mirrors FingerprintError).
-    _meta: Optional[Dict[str, Any]] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Original config objects (views are free) — absent after a load.
-    _configs: Optional[Tuple[SystemConfig, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_view_cache", [None] * len(self))
-
-    @property
-    def meta(self) -> Dict[str, Any]:
-        if self._meta is None:
-            object.__setattr__(self, "_meta", self._build_meta())
-        return self._meta
-
-    def _build_meta(self) -> Dict[str, Any]:
-        if self._configs is None:
-            raise ValueError("ConfigBatch has neither meta nor source configs")
-        net_payloads: List[Dict[str, Any]] = []
-        net_ids: Dict[int, int] = {}
-        net_index: List[int] = []
-        model_payloads: List[Dict[str, Any]] = []
-        model_ids: Dict[int, int] = {}
-        model_index: List[int] = []
-        for cfg in self._configs:
-            net_key = id(cfg.network)
-            if net_key not in net_ids:
-                net_ids[net_key] = len(net_payloads)
-                net_payloads.append(_network_payload(cfg.network))
-            net_index.append(net_ids[net_key])
-            model_key = id(cfg.cost_model)
-            if model_key not in model_ids:
-                model_ids[model_key] = len(model_payloads)
-                model_payloads.append(_cost_model_payload(cfg.cost_model))
-            model_index.append(model_ids[model_key])
-        return {
-            "networks": net_payloads,
-            "network_index": net_index,
-            "cost_models": model_payloads,
-            "cost_model_index": model_index,
-        }
+    #: The source config objects, in column order.
+    _configs: Tuple[SystemConfig, ...] = field(repr=False, compare=False)
 
     # -- construction ---------------------------------------------------------
 
@@ -313,7 +152,7 @@ class ConfigBatch:
             _configs=tuple(configs),
         )
 
-    # -- shape / views --------------------------------------------------------
+    # -- shape / configs ------------------------------------------------------
 
     def __len__(self) -> int:
         return self.min_rates.shape[0]
@@ -322,85 +161,11 @@ class ConfigBatch:
     def num_clients(self) -> int:
         return self.min_rates.shape[1]
 
-    @property
-    def num_lambdas(self) -> int:
-        return self.lambda_set.shape[1]
-
     def __getitem__(self, i: int) -> SystemConfig:
-        i = int(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"config index {i} out of range [0, {len(self)})")
-        if self._configs is not None:
-            return self._configs[i]
-        cache: List[Optional[SystemConfig]] = self._view_cache  # type: ignore[attr-defined]
-        view = cache[i]
-        if view is None:
-            view = self._build_config(i)
-            cache[i] = view
-        return view
+        return self._configs[i]
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def _build_config(self, i: int) -> SystemConfig:
-        network = self._network_for(int(self.meta["network_index"][i]))
-        model = self._cost_model_for(int(self.meta["cost_model_index"][i]))
-        clients = tuple(
-            ClientNode(
-                index=j,
-                encryption_cycles=float(self.encryption_cycles[i, j]),
-                max_frequency_hz=float(self.client_max_frequency[i, j]),
-                switched_capacitance=float(self.client_capacitance[i, j]),
-                max_power_w=float(self.max_power[i, j]),
-                privacy_weight=float(self.privacy_weights[i, j]),
-                upload_bits=float(self.upload_bits[i, j]),
-                num_tokens=float(self.num_tokens[i, j]),
-                tokens_per_sample=float(self.tokens_per_sample[i, j]),
-                min_entanglement_rate=float(self.min_rates[i, j]),
-            )
-            for j in range(self.num_clients)
-        )
-        server = EdgeServer(
-            total_frequency_hz=float(self.fs_total[i]),
-            total_bandwidth_hz=float(self.b_total[i]),
-            switched_capacitance=float(self.kappa_s[i]),
-        )
-        return SystemConfig(
-            network=network,
-            clients=clients,
-            server=server,
-            cost_model=model,
-            channel_gains=np.array(self.channel_gains[i], dtype=float),
-            alpha_qkd=float(self.alpha_qkd[i]),
-            alpha_msl=float(self.alpha_msl[i]),
-            alpha_t=float(self.alpha_t[i]),
-            alpha_e=float(self.alpha_e[i]),
-            noise_psd=float(self.noise_psd[i]),
-            tolerance=float(self.tolerance[i]),
-        )
-
-    def _network_for(self, index: int) -> QKDNetwork:
-        networks: Dict[int, QKDNetwork] = getattr(self, "_network_cache", None)  # type: ignore[assignment]
-        if networks is None:
-            networks = {}
-            object.__setattr__(self, "_network_cache", networks)
-        if index not in networks:
-            networks[index] = _network_from_payload(self.meta["networks"][index])
-        return networks[index]
-
-    def _cost_model_for(self, index: int) -> CostModel:
-        models: Dict[int, CostModel] = getattr(self, "_cost_model_cache", None)  # type: ignore[assignment]
-        if models is None:
-            models = {}
-            object.__setattr__(self, "_cost_model_cache", models)
-        if index not in models:
-            models[index] = _cost_model_from_payload(
-                self.meta["cost_models"][index]
-            )
-        return models[index]
+    def __iter__(self) -> Iterator[SystemConfig]:
+        return iter(self._configs)
 
     # -- solver interchange ---------------------------------------------------
 
@@ -431,424 +196,42 @@ class ConfigBatch:
                 _CONFIG_CLIENT_COLS + _CONFIG_MODEL_COLS + _CONFIG_SCALAR_COLS
             )
         }
-        if self._configs is not None:
-            # Source configs available: stay lazy (meta builds on demand).
-            return ConfigBatch(
-                **cols, _configs=tuple(self._configs[int(i)] for i in idx)
-            )
-        meta = {
-            "networks": self.meta["networks"],
-            "network_index": [
-                int(self.meta["network_index"][int(i)]) for i in idx
-            ],
-            "cost_models": self.meta["cost_models"],
-            "cost_model_index": [
-                int(self.meta["cost_model_index"][int(i)]) for i in idx
-            ],
-        }
-        return ConfigBatch(**cols, _meta=meta)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-        """The numeric columns plus the JSON-able identity meta."""
-        arrays = {
-            name: np.ascontiguousarray(getattr(self, name), dtype=float)
-            for name in (
-                _CONFIG_CLIENT_COLS + _CONFIG_MODEL_COLS + _CONFIG_SCALAR_COLS
-            )
-        }
-        return arrays, dict(self.meta)
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-    ) -> "ConfigBatch":
-        expected = set(
-            _CONFIG_CLIENT_COLS + _CONFIG_MODEL_COLS + _CONFIG_SCALAR_COLS
-        )
-        missing = expected - set(arrays)
-        if missing:
-            raise ValueError(
-                f"config_batch payload missing columns: {sorted(missing)}"
-            )
-        return cls(
-            **{name: np.asarray(arrays[name]) for name in expected},
-            _meta=meta,
+        return ConfigBatch(
+            **cols, _configs=tuple(self._configs[int(i)] for i in idx)
         )
 
-    def to_jsonable(self) -> Dict[str, Any]:
-        arrays, meta = self.to_arrays()
-        return {
-            "columns": {name: arr.tolist() for name, arr in arrays.items()},
-            "meta": meta,
-        }
 
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "ConfigBatch":
-        arrays = {
-            name: np.asarray(values, dtype=float)
-            for name, values in payload["columns"].items()
-        }
-        return cls.from_arrays(arrays, payload["meta"])
-
-
-# -- SolutionBatch ---------------------------------------------------------------
-
-_SOLUTION_NODE_COLS = (
-    "phi", "lam", "p", "b", "f_c", "f_s",
-    "enc_delay", "tr_delay", "cmp_delay",
-    "enc_energy", "tr_energy", "cmp_energy",
-    "s2_lam", "s3_p", "s3_b", "s3_f_c", "s3_f_s",
-)
-_SOLUTION_SCALAR_COLS = (
-    "T", "u_qkd", "u_msl", "total_delay", "total_energy", "objective",
-    "s2_T", "s2_value", "s2_runtime",
-    "s3_T", "s3_value", "s3_runtime", "runtime_s",
-)
-_SOLUTION_INT_COLS = (
-    "s2_nodes", "s3_outer",
-    "stage1_calls", "stage2_calls", "stage3_calls", "outer_iterations",
-)
-_SOLUTION_BOOL_COLS = ("s3_converged", "converged", "degraded")
-_SOLUTION_RAGGED_COLS = ("w", "history", "s2_history", "s3_history", "s3_gap")
-
-
-@dataclass
 class SolutionBatch:
-    """K :class:`QuHEResult` records as structure-of-arrays columns.
+    """The results of a columnar solve, in batch order.
 
-    ``batch[i]`` lazily materializes (and caches) the i-th
-    :class:`QuHEResult`.  Stage-1 results stay shared object references, so
-    configs whose QKD blocks were deduplicated by the batched solver keep
-    satisfying ``batch[i].stage1 is batch[j].stage1``.
+    An immutable sequence of the solver's own :class:`QuHEResult` objects:
+    ``batch[i]`` is the i-th result itself, so configs whose QKD blocks the
+    batched solver deduplicated keep sharing one Stage-1 result
+    (``batch[i].stage1 is batch[j].stage1``).
     """
 
-    # (K, n) columns — allocation, per-node metrics, stage-2/3 outputs
-    phi: np.ndarray
-    lam: np.ndarray
-    p: np.ndarray
-    b: np.ndarray
-    f_c: np.ndarray
-    f_s: np.ndarray
-    enc_delay: np.ndarray
-    tr_delay: np.ndarray
-    cmp_delay: np.ndarray
-    enc_energy: np.ndarray
-    tr_energy: np.ndarray
-    cmp_energy: np.ndarray
-    s2_lam: np.ndarray
-    s3_p: np.ndarray
-    s3_b: np.ndarray
-    s3_f_c: np.ndarray
-    s3_f_s: np.ndarray
-    # (K,) float columns
-    T: np.ndarray
-    u_qkd: np.ndarray
-    u_msl: np.ndarray
-    total_delay: np.ndarray
-    total_energy: np.ndarray
-    objective: np.ndarray
-    s2_T: np.ndarray
-    s2_value: np.ndarray
-    s2_runtime: np.ndarray
-    s3_T: np.ndarray
-    s3_value: np.ndarray
-    s3_runtime: np.ndarray
-    runtime_s: np.ndarray
-    # (K,) int / bool columns
-    s2_nodes: np.ndarray
-    s3_outer: np.ndarray
-    stage1_calls: np.ndarray
-    stage2_calls: np.ndarray
-    stage3_calls: np.ndarray
-    outer_iterations: np.ndarray
-    s3_converged: np.ndarray
-    converged: np.ndarray
-    degraded: np.ndarray
-    # ragged columns: flat + offsets
-    w_flat: np.ndarray
-    w_offsets: np.ndarray
-    history_flat: np.ndarray
-    history_offsets: np.ndarray
-    s2_history_flat: np.ndarray
-    s2_history_offsets: np.ndarray
-    s3_history_flat: np.ndarray
-    s3_history_offsets: np.ndarray
-    s3_gap_flat: np.ndarray
-    s3_gap_offsets: np.ndarray
-    #: Stage-1 results as shared object references (dedup identity).
-    stage1: Tuple[Stage1Result, ...] = ()
+    __slots__ = ("_results",)
 
-    def __post_init__(self) -> None:
-        self._view_cache: List[Optional[QuHEResult]] = [None] * len(self)
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_results(cls, results: Sequence[QuHEResult]) -> "SolutionBatch":
-        """Columnarize finished scalar results (shapes must match)."""
-        if not results:
-            raise ValueError("SolutionBatch needs at least one result")
-        for r in results:
-            if r.stage2 is None or r.stage3 is None:
-                raise ValueError(
-                    "SolutionBatch requires completed stage2/stage3 results"
-                )
-        def col(get, dtype=float):
-            return np.array([get(r) for r in results], dtype=dtype)
-
-        def stackf(get):
-            return np.stack([np.asarray(get(r), dtype=float) for r in results])
-
-        w_flat, w_off = _ragged([r.allocation.w for r in results])
-        h_flat, h_off = _ragged([r.objective_history for r in results])
-        s2h_flat, s2h_off = _ragged([r.stage2.history for r in results])
-        s3h_flat, s3h_off = _ragged([r.stage3.history for r in results])
-        s3g_flat, s3g_off = _ragged([r.stage3.transform_gap for r in results])
-        return cls(
-            phi=stackf(lambda r: r.allocation.phi),
-            lam=stackf(lambda r: r.allocation.lam),
-            p=stackf(lambda r: r.allocation.p),
-            b=stackf(lambda r: r.allocation.b),
-            f_c=stackf(lambda r: r.allocation.f_c),
-            f_s=stackf(lambda r: r.allocation.f_s),
-            enc_delay=stackf(lambda r: r.metrics.enc_delay),
-            tr_delay=stackf(lambda r: r.metrics.tr_delay),
-            cmp_delay=stackf(lambda r: r.metrics.cmp_delay),
-            enc_energy=stackf(lambda r: r.metrics.enc_energy),
-            tr_energy=stackf(lambda r: r.metrics.tr_energy),
-            cmp_energy=stackf(lambda r: r.metrics.cmp_energy),
-            s2_lam=stackf(lambda r: r.stage2.lam),
-            s3_p=stackf(lambda r: r.stage3.p),
-            s3_b=stackf(lambda r: r.stage3.b),
-            s3_f_c=stackf(lambda r: r.stage3.f_c),
-            s3_f_s=stackf(lambda r: r.stage3.f_s),
-            T=col(lambda r: np.nan if r.allocation.T is None
-                  else float(r.allocation.T)),
-            u_qkd=col(lambda r: r.metrics.u_qkd),
-            u_msl=col(lambda r: r.metrics.u_msl),
-            total_delay=col(lambda r: r.metrics.total_delay),
-            total_energy=col(lambda r: r.metrics.total_energy),
-            objective=col(lambda r: r.metrics.objective),
-            s2_T=col(lambda r: r.stage2.T),
-            s2_value=col(lambda r: r.stage2.value),
-            s2_runtime=col(lambda r: r.stage2.runtime_s),
-            s3_T=col(lambda r: r.stage3.T),
-            s3_value=col(lambda r: r.stage3.value),
-            s3_runtime=col(lambda r: r.stage3.runtime_s),
-            runtime_s=col(lambda r: r.runtime_s),
-            s2_nodes=col(lambda r: r.stage2.nodes_explored, dtype=np.int64),
-            s3_outer=col(lambda r: r.stage3.outer_iterations, dtype=np.int64),
-            stage1_calls=col(lambda r: r.stage1_calls, dtype=np.int64),
-            stage2_calls=col(lambda r: r.stage2_calls, dtype=np.int64),
-            stage3_calls=col(lambda r: r.stage3_calls, dtype=np.int64),
-            outer_iterations=col(
-                lambda r: r.outer_iterations, dtype=np.int64
-            ),
-            s3_converged=col(lambda r: r.stage3.converged, dtype=bool),
-            converged=col(lambda r: r.converged, dtype=bool),
-            degraded=col(lambda r: r.degraded, dtype=bool),
-            w_flat=w_flat, w_offsets=w_off,
-            history_flat=h_flat, history_offsets=h_off,
-            s2_history_flat=s2h_flat, s2_history_offsets=s2h_off,
-            s3_history_flat=s3h_flat, s3_history_offsets=s3h_off,
-            s3_gap_flat=s3g_flat, s3_gap_offsets=s3g_off,
-            stage1=tuple(r.stage1 for r in results),
-        )
-
-    # -- shape / views --------------------------------------------------------
+    def __init__(self, results: Sequence[QuHEResult]) -> None:
+        self._results: Tuple[QuHEResult, ...] = tuple(results)
 
     def __len__(self) -> int:
-        return self.phi.shape[0]
+        return len(self._results)
 
     def __getitem__(self, i: int) -> QuHEResult:
-        i = int(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"result index {i} out of range [0, {len(self)})")
-        view = self._view_cache[i]
-        if view is None:
-            view = self._build_result(i)
-            self._view_cache[i] = view
-        return view
+        return self._results[i]
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+    def __iter__(self) -> Iterator[QuHEResult]:
+        return iter(self._results)
 
-    def to_results(self) -> List[QuHEResult]:
-        return [self[i] for i in range(len(self))]
+    @property
+    def degraded(self) -> np.ndarray:
+        """``(K,)`` bools: which results took the SLSQP degraded path."""
+        return np.array([r.degraded for r in self._results], dtype=bool)
 
-    def _build_result(self, i: int) -> QuHEResult:
-        t_val = float(self.T[i])
-        allocation = Allocation(
-            phi=self.phi[i],
-            w=_ragged_row(self.w_flat, self.w_offsets, i),
-            lam=self.lam[i],
-            p=self.p[i],
-            b=self.b[i],
-            f_c=self.f_c[i],
-            f_s=self.f_s[i],
-            T=None if np.isnan(t_val) else t_val,
+    @property
+    def outer_iterations(self) -> np.ndarray:
+        """``(K,)`` Alg.-4 outer-iteration counts."""
+        return np.array(
+            [r.outer_iterations for r in self._results], dtype=np.int64
         )
-        metrics = Metrics(
-            u_qkd=float(self.u_qkd[i]),
-            u_msl=float(self.u_msl[i]),
-            enc_delay=self.enc_delay[i],
-            tr_delay=self.tr_delay[i],
-            cmp_delay=self.cmp_delay[i],
-            enc_energy=self.enc_energy[i],
-            tr_energy=self.tr_energy[i],
-            cmp_energy=self.cmp_energy[i],
-            total_delay=float(self.total_delay[i]),
-            total_energy=float(self.total_energy[i]),
-            objective=float(self.objective[i]),
-        )
-        stage2 = Stage2Result(
-            lam=self.s2_lam[i],
-            T=float(self.s2_T[i]),
-            value=float(self.s2_value[i]),
-            nodes_explored=int(self.s2_nodes[i]),
-            runtime_s=float(self.s2_runtime[i]),
-            history=_ragged_list(
-                self.s2_history_flat, self.s2_history_offsets, i
-            ),
-        )
-        stage3 = Stage3Result(
-            p=self.s3_p[i],
-            b=self.s3_b[i],
-            f_c=self.s3_f_c[i],
-            f_s=self.s3_f_s[i],
-            T=float(self.s3_T[i]),
-            value=float(self.s3_value[i]),
-            outer_iterations=int(self.s3_outer[i]),
-            runtime_s=float(self.s3_runtime[i]),
-            history=_ragged_list(
-                self.s3_history_flat, self.s3_history_offsets, i
-            ),
-            transform_gap=_ragged_list(self.s3_gap_flat, self.s3_gap_offsets, i),
-            converged=bool(self.s3_converged[i]),
-        )
-        return QuHEResult(
-            allocation=allocation,
-            metrics=metrics,
-            objective_history=_ragged_list(
-                self.history_flat, self.history_offsets, i
-            ),
-            stage1=self.stage1[i],
-            stage2=stage2,
-            stage3=stage3,
-            stage1_calls=int(self.stage1_calls[i]),
-            stage2_calls=int(self.stage2_calls[i]),
-            stage3_calls=int(self.stage3_calls[i]),
-            outer_iterations=int(self.outer_iterations[i]),
-            runtime_s=float(self.runtime_s[i]),
-            converged=bool(self.converged[i]),
-            degraded=bool(self.degraded[i]),
-        )
-
-    # -- serialization --------------------------------------------------------
-
-    def _stage1_tables(self) -> Tuple[List[Dict[str, Any]], List[int]]:
-        """Dedup stage-1 payloads by object identity (preserves sharing)."""
-        payloads: List[Dict[str, Any]] = []
-        ids: Dict[int, int] = {}
-        index: List[int] = []
-        for s1 in self.stage1:
-            key = id(s1)
-            if key not in ids:
-                ids[key] = len(payloads)
-                payloads.append({
-                    "phi": np.asarray(s1.phi, dtype=float).tolist(),
-                    "w": np.asarray(s1.w, dtype=float).tolist(),
-                    "value": float(s1.value),
-                    "iterations": int(s1.iterations),
-                    "runtime_s": float(s1.runtime_s),
-                    "history": [float(v) for v in s1.history],
-                    "converged": bool(s1.converged),
-                })
-            index.append(ids[key])
-        return payloads, index
-
-    @staticmethod
-    def _stage1_from_tables(
-        payloads: Sequence[Dict[str, Any]], index: Sequence[int]
-    ) -> Tuple[Stage1Result, ...]:
-        built = [
-            Stage1Result(
-                phi=np.asarray(p["phi"], dtype=float),
-                w=np.asarray(p["w"], dtype=float),
-                value=float(p["value"]),
-                iterations=int(p["iterations"]),
-                runtime_s=float(p["runtime_s"]),
-                history=[float(v) for v in p["history"]],
-                converged=bool(p["converged"]),
-            )
-            for p in payloads
-        ]
-        return tuple(built[int(i)] for i in index)
-
-    def to_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-        arrays: Dict[str, np.ndarray] = {}
-        for name in _SOLUTION_NODE_COLS + _SOLUTION_SCALAR_COLS:
-            arrays[name] = np.ascontiguousarray(getattr(self, name), dtype=float)
-        for name in _SOLUTION_INT_COLS:
-            arrays[name] = np.ascontiguousarray(
-                getattr(self, name), dtype=np.int64
-            )
-        for name in _SOLUTION_BOOL_COLS:
-            arrays[name] = np.ascontiguousarray(getattr(self, name), dtype=bool)
-        for name in _SOLUTION_RAGGED_COLS:
-            arrays[f"{name}_flat"] = np.ascontiguousarray(
-                getattr(self, f"{name}_flat"), dtype=float
-            )
-            arrays[f"{name}_offsets"] = np.ascontiguousarray(
-                getattr(self, f"{name}_offsets"), dtype=np.int64
-            )
-        stage1_payloads, stage1_index = self._stage1_tables()
-        meta = {"stage1": stage1_payloads, "stage1_index": stage1_index}
-        return arrays, meta
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-    ) -> "SolutionBatch":
-        expected = set(
-            _SOLUTION_NODE_COLS + _SOLUTION_SCALAR_COLS
-            + _SOLUTION_INT_COLS + _SOLUTION_BOOL_COLS
-        )
-        for name in _SOLUTION_RAGGED_COLS:
-            expected.add(f"{name}_flat")
-            expected.add(f"{name}_offsets")
-        missing = expected - set(arrays)
-        if missing:
-            raise ValueError(
-                f"solution_batch payload missing columns: {sorted(missing)}"
-            )
-        stage1 = cls._stage1_from_tables(meta["stage1"], meta["stage1_index"])
-        return cls(
-            **{name: np.asarray(arrays[name]) for name in expected},
-            stage1=stage1,
-        )
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        arrays, meta = self.to_arrays()
-        return {
-            "columns": {name: arr.tolist() for name, arr in arrays.items()},
-            "meta": meta,
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "SolutionBatch":
-        columns = payload["columns"]
-        arrays: Dict[str, np.ndarray] = {}
-        for name, values in columns.items():
-            if name in _SOLUTION_INT_COLS or name.endswith("_offsets"):
-                arrays[name] = np.asarray(values, dtype=np.int64)
-            elif name in _SOLUTION_BOOL_COLS:
-                arrays[name] = np.asarray(values, dtype=bool)
-            else:
-                arrays[name] = np.asarray(values, dtype=float)
-        return cls.from_arrays(arrays, payload["meta"])

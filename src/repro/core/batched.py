@@ -100,7 +100,7 @@ class BatchedQuHE:
         if len(initials) != len(configs):
             raise ValueError("initials must align with configs")
         if isinstance(configs, ConfigBatch):
-            return self.solve_config_batch(configs, initials).to_results()
+            return self._solve_group(configs, list(initials))
         # Shape-group batching on index masks: one (num_clients, m) key row
         # per config, np.unique for the group ids, groups visited in
         # first-appearance order.
@@ -134,14 +134,14 @@ class BatchedQuHE:
         """Solve a columnar batch natively — no per-call stacking at all.
 
         The batch is uniform by construction, so no regrouping happens:
-        the solver reads the precomputed columns directly and returns a
-        :class:`SolutionBatch` whose ``[i]`` views are the scalar results.
+        the solver reads the precomputed columns directly and returns its
+        results, in batch order, as a :class:`SolutionBatch`.
         """
         if initials is None:
             initials = [None] * len(batch)
         if len(initials) != len(batch):
             raise ValueError("initials must align with configs")
-        return self._solve_group(batch, list(initials))
+        return SolutionBatch(self._solve_group(batch, list(initials)))
 
     # -- group solve ------------------------------------------------------------
 
@@ -159,10 +159,10 @@ class BatchedQuHE:
         self,
         batch: ConfigBatch,
         initials: List[Optional[Allocation]],
-    ) -> SolutionBatch:
+    ) -> List[QuHEResult]:
         start = time.perf_counter()
         k = len(batch)
-        configs = [batch[i] for i in range(k)]
+        configs = list(batch)
         problems = [QuHEProblem(cfg) for cfg in configs]
         allocs: List[Allocation] = [
             initial if initial is not None else initial_allocation(cfg)
@@ -314,7 +314,7 @@ class BatchedQuHE:
                 break
 
         runtime = time.perf_counter() - start
-        return SolutionBatch.from_results([
+        return [
             QuHEResult(
                 allocation=allocs[i],
                 metrics=problems[i].metrics(allocs[i]),
@@ -330,7 +330,7 @@ class BatchedQuHE:
                 converged=bool(converged[i]),
             )
             for i in range(k)
-        ])
+        ]
 
     # -- Stage 2 ----------------------------------------------------------------
 

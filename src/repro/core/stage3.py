@@ -247,14 +247,12 @@ class Stage3Solver:
 
     def _solve_ipm(self, alloc: Allocation) -> Stage3Result:
         """Run the shared batched core with a batch of one."""
-        from repro.core.stage3_ipm import (
-            solve_stage3_batch,
-            stack_stage3_constants,
-        )
+        from repro.core.batch import ConfigBatch
+        from repro.core.stage3_ipm import solve_stage3_batch
 
         cfg = self.config
         start = time.perf_counter()
-        constants = stack_stage3_constants([cfg])
+        constants = ConfigBatch.from_configs([cfg]).stage3_constants()
         cycles = cfg.server_cycle_demand(alloc.lam)
         result = solve_stage3_batch(
             constants,

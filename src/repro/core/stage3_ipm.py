@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -109,7 +109,8 @@ _add = np.add.reduce  # np.sum without its Python wrapper (same bits)
 class Stage3Constants:
     """Per-batch constants of the Stage-3 block, stacked ``(K, n)`` / ``(K, 1)``.
 
-    Built once per batch by :func:`stack_stage3_constants`; ``cycles`` (which
+    Built once per batch by
+    :meth:`~repro.core.batch.ConfigBatch.stage3_constants`; ``cycles`` (which
     depends on the Stage-2 ``λ``) is passed per solve instead.
     """
 
@@ -143,41 +144,6 @@ class Stage3Constants:
                 for name in self.__dataclass_fields__
             }
         )
-
-
-def stack_stage3_constants(configs: Sequence) -> Stage3Constants:
-    """Stack the Stage-3 constants of ``configs`` (equal ``num_clients``).
-
-    A columnar :class:`~repro.core.batch.ConfigBatch` already holds these
-    columns contiguously, so it short-circuits to zero-copy views instead of
-    re-stacking per-config objects.
-    """
-    if hasattr(configs, "stage3_constants"):
-        return configs.stage3_constants()
-    n = {cfg.num_clients for cfg in configs}
-    if len(n) != 1:
-        raise ValueError(f"configs must share num_clients, got {sorted(n)}")
-    return Stage3Constants(
-        d_tr=np.stack([cfg.upload_bits for cfg in configs]).astype(float),
-        gains=np.stack([cfg.channel_gains for cfg in configs]).astype(float),
-        noise_psd=np.array([[cfg.noise_psd] for cfg in configs], dtype=float),
-        kappa_c=np.stack([cfg.client_capacitance for cfg in configs]).astype(float),
-        enc_cycles=np.stack([cfg.encryption_cycles for cfg in configs]).astype(float),
-        kappa_s=np.array(
-            [[cfg.server.switched_capacitance] for cfg in configs], dtype=float
-        ),
-        p_max=np.stack([cfg.max_power for cfg in configs]).astype(float),
-        fc_max=np.stack([cfg.client_max_frequency for cfg in configs]).astype(float),
-        b_total=np.array(
-            [[cfg.server.total_bandwidth_hz] for cfg in configs], dtype=float
-        ),
-        fs_total=np.array(
-            [[cfg.server.total_frequency_hz] for cfg in configs], dtype=float
-        ),
-        alpha_e=np.array([[cfg.alpha_e] for cfg in configs], dtype=float),
-        alpha_t=np.array([[cfg.alpha_t] for cfg in configs], dtype=float),
-        tolerance=np.array([cfg.tolerance for cfg in configs], dtype=float),
-    )
 
 
 @dataclass

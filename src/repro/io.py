@@ -2,7 +2,9 @@
 
 A downstream user wants to solve once, persist the result, and replay or
 audit it later; the experiment harness wants machine-readable outputs next
-to the printed tables.  Formats are plain JSON with explicit versioning.
+to the printed tables.  Formats are plain JSON with explicit versioning;
+the campaign runner's canonical chunk files, too, are JSON arrays of
+``quhe_result`` payloads.
 
 Two layers:
 
@@ -22,8 +24,8 @@ Two layers:
   A result dataclass is its own schema: ``register_codec("my_result",
   MyResult)`` derives the codec from its fields and type hints, and the
   few wire-format departures sit in one table here.  Only formats the
-  fields do not describe (allocation, metrics, the columnar batches, the
-  fault plan, the serve wire messages) keep hand-written codecs.
+  fields do not describe (allocation, metrics, the fault plan, the serve
+  wire messages) keep hand-written codecs.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import json
 import os
 import tempfile
 import typing
-import zipfile
-from io import BytesIO
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type, Union
 
@@ -72,7 +72,7 @@ def atomic_write_bytes(
 
     ``fault_seam=None`` opts the write out of fault injection *and* of the
     seam's deterministic RNG stream.  Rebuildable caches (the campaign's
-    canonical npz chunks) need this: whether such a file is written or
+    canonical JSON chunks) need this: whether such a file is written or
     loaded may differ between a resumed and an uninterrupted run, and an
     optional write that consumed a draw would phase-shift every later
     ``artifact.write`` decision — breaking the resume byte-identity
@@ -395,169 +395,6 @@ def load_result(path: PathLike) -> Any:
         ) from exc
 
 
-# -- columnar npz artifacts ---------------------------------------------------
-#
-# ConfigBatch / SolutionBatch additionally serialize to uncompressed npz:
-# each numeric column is one ZIP_STORED .npy member, so a reader can
-# memory-map the raw float data straight out of the archive — no JSON
-# parse, no copy.  A `__meta__` member carries the codec kind, format
-# version and the non-numeric identity payload as a JSON string.
-
-
-def save_batch_npz(obj: Any, path: PathLike) -> Path:
-    """Write a columnar batch as an uncompressed npz artifact (atomically).
-
-    Works for any registered codec type exposing ``to_arrays()`` (today:
-    :class:`~repro.core.batch.ConfigBatch` and
-    :class:`~repro.core.batch.SolutionBatch`).  The file is a standard npz —
-    ``np.load`` reads it — but :func:`load_batch_npz` additionally
-    memory-maps the columns zero-copy.
-    """
-    _ensure_builtin_codecs()
-    codec = _CODECS_BY_TYPE.get(type(obj))
-    if codec is None or not hasattr(obj, "to_arrays"):
-        raise TypeError(
-            f"no columnar codec for {type(obj).__name__}; "
-            "expected ConfigBatch or SolutionBatch"
-        )
-    arrays, meta = obj.to_arrays()
-    header = {"kind": codec.kind, "format_version": codec.version, "meta": meta}
-    members = dict(arrays)
-    members["__meta__"] = np.asarray(json.dumps(header, sort_keys=True))
-    buffer = BytesIO()
-    np.savez(buffer, **members)
-    # Batch artifacts are rebuildable caches; see atomic_write_bytes for
-    # why they must stay outside the artifact.write fault stream.
-    return atomic_write_bytes(path, buffer.getvalue(), fault_seam=None)
-
-
-def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    return np.lib.format.read_array(
-        BytesIO(archive.read(name)), allow_pickle=False
-    )
-
-
-def _memmap_member(
-    path: Path, archive: zipfile.ZipFile, name: str
-) -> Optional[np.ndarray]:
-    """Map one ZIP_STORED .npy member directly from the file, or ``None``.
-
-    The zip local file header gives the member's data offset; the npy
-    header after it gives dtype/shape — everything np.memmap needs.  Any
-    surprise (compressed member, object dtype, empty array, exotic npy
-    version) returns ``None`` and the caller falls back to an eager read.
-    """
-    try:
-        info = archive.getinfo(name)
-        if info.compress_type != zipfile.ZIP_STORED:
-            return None
-        with open(path, "rb") as handle:
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            if len(local) < 30 or local[:4] != b"PK\x03\x04":
-                return None
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            handle.seek(info.header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(handle)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(
-                    handle
-                )
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(
-                    handle
-                )
-            else:
-                return None
-            if dtype.hasobject or shape == () or 0 in shape:
-                return None
-            offset = handle.tell()
-        return np.memmap(
-            path,
-            dtype=dtype,
-            mode="r",
-            offset=offset,
-            shape=shape,
-            order="F" if fortran else "C",
-        )
-    except Exception:
-        return None
-
-
-def load_batch_npz(path: PathLike, *, memmap: bool = True) -> Any:
-    """Read back a batch written by :func:`save_batch_npz`.
-
-    With ``memmap=True`` (the default) the numeric columns are
-    ``np.memmap`` views into the file — the artifact streams without a
-    parse or copy; pass ``memmap=False`` to materialize them in memory.
-    Corrupt archives (truncated, zero-byte, missing meta) raise
-    :class:`~repro.errors.ArtifactError` naming the offending path; version
-    mismatches surface the same way as the JSON codecs.
-    """
-    _ensure_builtin_codecs()
-    source = Path(path)
-    try:
-        archive = zipfile.ZipFile(source)
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, OSError) as exc:
-        raise ArtifactError(
-            f"{source}: corrupt batch artifact: {exc}", path=str(source)
-        ) from exc
-    with archive:
-        names = archive.namelist()
-        if "__meta__.npy" not in names:
-            raise ArtifactError(
-                f"{source}: corrupt batch artifact: missing __meta__ member",
-                path=str(source),
-            )
-        try:
-            header_arr = _read_member(archive, "__meta__.npy")
-            header = json.loads(str(header_arr[()]))
-        except (ValueError, KeyError, zipfile.BadZipFile) as exc:
-            raise ArtifactError(
-                f"{source}: corrupt batch artifact: bad __meta__ member "
-                f"({exc})",
-                path=str(source),
-            ) from exc
-        kind = header.get("kind")
-        codec = _CODECS_BY_KIND.get(kind)
-        if codec is None or not hasattr(codec.cls, "from_arrays"):
-            raise ArtifactError(
-                f"{source}: unknown batch kind {kind!r}; "
-                f"known kinds: {registered_kinds()}",
-                path=str(source),
-            )
-        version = header.get("format_version")
-        if version != codec.version:
-            raise ArtifactError(
-                f"{source}: {kind}: unsupported format version {version!r} "
-                f"(supported: {codec.version})",
-                path=str(source),
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        try:
-            for name in names:
-                if name == "__meta__.npy":
-                    continue
-                key = name[:-4] if name.endswith(".npy") else name
-                arr = _memmap_member(source, archive, name) if memmap else None
-                if arr is None:
-                    arr = _read_member(archive, name)
-                arrays[key] = arr
-        except (ValueError, zipfile.BadZipFile) as exc:
-            raise ArtifactError(
-                f"{source}: corrupt batch artifact: {exc}", path=str(source)
-            ) from exc
-    try:
-        return codec.cls.from_arrays(arrays, header.get("meta", {}))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ArtifactError(
-            f"{source}: corrupt batch artifact: {exc}", path=str(source)
-        ) from exc
-
-
 # -- field-driven codecs -------------------------------------------------------
 #
 # A dataclass registered without encode/decode is written field by field, in
@@ -791,7 +628,6 @@ def _without_header(to_dict: Callable[[Any], Dict]) -> Callable[[Any], Dict]:
 
 def _register_builtin_codecs() -> None:
     from repro.campaign.result import CampaignResult
-    from repro.core.batch import ConfigBatch, SolutionBatch
     from repro.core.quhe import QuHEResult
     from repro.core.stage1 import Stage1Result
     from repro.core.stage2 import Stage2Result
@@ -822,10 +658,6 @@ def _register_builtin_codecs() -> None:
                    _without_header(allocation_to_dict), allocation_from_dict)
     register_codec("metrics", Metrics,
                    _without_header(metrics_to_dict), metrics_from_dict)
-    register_codec("config_batch", ConfigBatch,
-                   ConfigBatch.to_jsonable, ConfigBatch.from_jsonable)
-    register_codec("solution_batch", SolutionBatch,
-                   SolutionBatch.to_jsonable, SolutionBatch.from_jsonable)
     register_codec("fault_plan", _faults.FaultPlan,
                    _faults.FaultPlan.to_dict, _faults.FaultPlan.from_dict)
     register_codec("serve_request", ServeRequest,

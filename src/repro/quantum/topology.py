@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.quantum.routing import Route, incidence_matrix, routes_from_paths
@@ -158,7 +157,7 @@ class QKDNetwork:
 
     This is the object consumed by the optimization layer (via
     :attr:`incidence` and :attr:`betas`) and by the protocol-level simulator
-    (via the networkx :attr:`graph`).
+    (via :attr:`links` and :attr:`routes`).
     """
 
     def __init__(
@@ -178,11 +177,7 @@ class QKDNetwork:
         self._links: Tuple[Link, ...] = tuple(sorted(links, key=lambda l: l.link_id))
         self._routes: Tuple[Route, ...] = tuple(routes)
         self.key_center = key_center
-        self._graph = nx.Graph()
-        for link in self._links:
-            u, v = link.endpoints
-            self._graph.add_edge(u, v, link_id=link.link_id, length_km=link.length_km, beta=link.beta)
-        if key_center not in self._graph:
+        if not any(key_center in link.endpoints for link in self._links):
             raise ValueError(f"key centre {key_center!r} is not a node of the network")
         for route in self._routes:
             self._validate_route_is_path(route)
@@ -205,6 +200,8 @@ class QKDNetwork:
         where edges are numbered in input order) or from
         :func:`beta_from_length`.
         """
+        import networkx as nx
+
         links: List[Link] = []
         edge_to_link_id: Dict[frozenset, int] = {}
         for i, (u, v, length_km) in enumerate(edges, start=1):
@@ -268,11 +265,6 @@ class QKDNetwork:
     @property
     def num_routes(self) -> int:
         return len(self._routes)
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (nodes are city names)."""
-        return self._graph
 
     @property
     def betas(self) -> np.ndarray:

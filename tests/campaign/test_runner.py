@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -13,7 +14,12 @@ from repro.campaign import (
     resume_campaign,
     run_campaign,
 )
-from repro.campaign.runner import AGGREGATE_FILENAME, MANIFEST_FILENAME
+from repro.campaign.runner import (
+    AGGREGATE_FILENAME,
+    CANONICAL_DIRNAME,
+    MANIFEST_FILENAME,
+)
+from repro.faults import FaultPlan, FaultRule
 from repro.io import result_from_dict, result_to_dict
 
 
@@ -33,6 +39,16 @@ def completed_dir(spec, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("campaign") / "full"
     CampaignRunner(spec, out_dir=out_dir).run()
     return out_dir
+
+
+def resume_counting_solves(out_dir):
+    """Resume ``out_dir``; return the result and how many configs it solved
+    (counted by ``worker.solve`` fires)."""
+    counting = FaultPlan(rules=(
+        FaultRule(seam="worker.solve", kind="hang", max_fires=0),))
+    with counting.activate() as injector:
+        result = resume_campaign(out_dir)
+    return result, injector.fire_counts().get("worker.solve", 0)
 
 
 class TestArtifacts:
@@ -139,23 +155,55 @@ class TestAggregation:
 
 class TestResume:
     def test_kill_and_resume_byte_identical(self, spec, completed_dir, tmp_path):
-        """The ISSUE-5 acceptance property at test scale: a campaign killed
-        mid-flight and resumed must write the same aggregate bytes as an
-        uninterrupted run."""
+        """A campaign killed mid-flight and resumed must write the same
+        aggregate bytes as an uninterrupted run, and the resume solves no
+        config: it decodes the intact canonical chunk instead."""
         killed = tmp_path / "killed"
         partial = CampaignRunner(spec, out_dir=killed).run(max_cells=2)
         assert partial.cells_completed == 2
         assert not partial.complete
+        chunk = json.loads(
+            (killed / CANONICAL_DIRNAME / "chunk_00000.json").read_text()
+        )
+        assert [p["kind"] for p in chunk] == ["quhe_result"] * 2
 
         status = campaign_status(killed)
         assert status.cells_completed == 2
         assert len(status.pending_cell_ids) == 2
 
-        resumed = resume_campaign(killed)
+        resumed, solved = resume_counting_solves(killed)
         assert resumed.complete
+        assert solved == 0
         assert (killed / AGGREGATE_FILENAME).read_bytes() == (
             completed_dir / AGGREGATE_FILENAME
         ).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["npz", "torn"])
+    def test_unreadable_chunk_is_solved_again(
+        self, spec, completed_dir, tmp_path, damage
+    ):
+        """A chunk in the old npz format, or a torn chunk file, is ignored:
+        the resume solves the chunk's configs again, to the same bytes."""
+        out_dir = tmp_path / damage
+        CampaignRunner(spec, out_dir=out_dir).run(max_cells=2)
+        chunk = out_dir / CANONICAL_DIRNAME / "chunk_00000.json"
+        if damage == "npz":
+            chunk.unlink()
+            header = {"kind": "solution_batch", "format_version": 1,
+                      "meta": {}}
+            np.savez(chunk.with_suffix(".npz"), objective=np.zeros(2),
+                     __meta__=np.asarray(json.dumps(header)))
+        else:
+            text = chunk.read_text()
+            chunk.write_text(text[: len(text) // 2])
+
+        resumed, solved = resume_counting_solves(out_dir)
+        assert resumed.complete
+        assert solved == 2
+        assert (out_dir / AGGREGATE_FILENAME).read_bytes() == (
+            completed_dir / AGGREGATE_FILENAME
+        ).read_bytes()
+        assert len(json.loads(chunk.read_text())) == 2
 
     def test_resume_legacy_directory_with_backend_keys(
         self, spec, completed_dir, tmp_path

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.core.batch import ConfigBatch
 from repro.core.config import paper_config
 from repro.core.quhe import initial_allocation
 from repro.core.stage3_ipm import (
@@ -28,7 +29,6 @@ from repro.core.stage3_ipm import (
     _delays,
     _first_trial,
     _solve_spd,
-    stack_stage3_constants,
     strict_interior_start,
 )
 
@@ -117,7 +117,7 @@ def _ulps(value: float, k: int) -> float:
 @pytest.fixture(scope="module")
 def subproblem():
     cfg = paper_config(seed=3)
-    con = stack_stage3_constants([cfg])
+    con = ConfigBatch.from_configs([cfg]).stage3_constants()
     alloc = initial_allocation(cfg)
     cycles = cfg.server_cycle_demand(alloc.lam)[None, :]
     p, b, f_c, f_s, t = strict_interior_start(
@@ -270,7 +270,7 @@ def test_start_with_clients_at_the_floors_stays_in_the_domain():
     """Budgets spent with five clients at the bandwidth and server-CPU
     floors: the rescale into the budgets keeps every slack positive."""
     cfg = paper_config(seed=4)
-    con = stack_stage3_constants([cfg])
+    con = ConfigBatch.from_configs([cfg]).stage3_constants()
     alloc = initial_allocation(cfg)
     b = np.full(cfg.num_clients, 1e3)
     b[0] = cfg.server.total_bandwidth_hz - b[1:].sum()

@@ -1,5 +1,10 @@
 """Tests for the SURFnet topology and the QKDNetwork container (Tables III-IV)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,6 +117,11 @@ class TestQKDNetwork:
         with pytest.raises(ValueError, match="ends at"):
             QKDNetwork(links, [bad], key_center="Hilversum")
 
+    def test_key_center_must_be_a_link_endpoint(self):
+        links = [Link(1, ("A", "B"), 10.0, 50.0)]
+        with pytest.raises(ValueError, match="not a node"):
+            QKDNetwork(links, [Route(1, "A", "B", (1,))], key_center="Z")
+
     def test_link_ids_must_be_contiguous(self):
         links = [Link(2, ("A", "B"), 10.0, 50.0)]
         with pytest.raises(ValueError, match="1..L"):
@@ -149,3 +159,20 @@ class TestLinkValidation:
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(ValueError):
             Link(1, ("A", "B"), 10.0, -1.0)
+
+
+def test_solver_daemon_and_simulator_load_without_networkx():
+    """Building a QKDNetwork needs no graph library; only
+    ``from_edge_list`` routes with networkx, and imports it itself."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys\n"
+        "import repro.api.service, repro.sim.qnetwork, repro.serve.server\n"
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "False"

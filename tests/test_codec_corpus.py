@@ -59,8 +59,7 @@ def test_every_kind_has_one_corpus_file_at_its_version():
 
 #: Kinds with a hand-written format (and their own validation).
 HAND_WRITTEN = {
-    "allocation", "metrics", "config_batch", "solution_batch",
-    "fault_plan", "serve_request", "serve_response",
+    "allocation", "metrics", "fault_plan", "serve_request", "serve_response",
 }
 #: The only fields a payload may omit: older artifacts predate them.
 WIRE_OPTIONAL = {

@@ -23,8 +23,7 @@ from repro.io import registered_kinds, result_from_dict, result_to_dict
 
 #: Kinds with a hand-written format; they are fuzzed only where nested.
 HAND_WRITTEN = {
-    "allocation", "metrics", "config_batch", "solution_batch",
-    "fault_plan", "serve_request", "serve_response",
+    "allocation", "metrics", "fault_plan", "serve_request", "serve_response",
 }
 FIELD_DRIVEN = [k for k in registered_kinds() if k not in HAND_WRITTEN]
 

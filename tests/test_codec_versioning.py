@@ -19,13 +19,12 @@ from repro.io import (
     result_to_dict,
 )
 
-#: Every codec kind the platform ships (campaign_result joined in PR 5;
-#: the npz-backed columnar batches joined in PR 10).
+#: Every codec kind the platform ships.
 EXPECTED_KINDS = {
     "ablation_suite", "adaptive_sim_study", "allocation", "campaign_result",
-    "config_batch", "convergence_traces", "dynamic_study", "fig5_bundle",
+    "convergence_traces", "dynamic_study", "fig5_bundle",
     "method_comparison", "metrics", "optimality_study", "pipeline_report",
-    "quhe_result", "report_bundle", "simulation_result", "solution_batch",
+    "quhe_result", "report_bundle", "simulation_result",
     "stage1_method_comparison", "stage1_result", "stage2_result",
     "stage3_result", "stage_call_report", "sweep_series", "sweep_set",
 }
@@ -77,83 +76,6 @@ class TestVersionGating:
     def test_unknown_kind_lists_known_kinds(self):
         with pytest.raises(ValueError, match="campaign_result"):
             result_from_dict({"kind": "no_such_kind", "format_version": 1})
-
-
-class TestNpzArtifactGating:
-    """The npz container enforces the same gate as the JSON path: a
-    tampered or truncated archive fails loudly with an ``ArtifactError``
-    that names the offending file."""
-
-    @pytest.fixture()
-    def config_batch_path(self, tmp_path, typical_cfg):
-        from repro.core.batch import ConfigBatch
-        from repro.io import save_batch_npz
-
-        path = tmp_path / "batch.npz"
-        save_batch_npz(ConfigBatch.from_configs([typical_cfg]), path)
-        return path
-
-    @staticmethod
-    def _rewrite_meta(path, mutate):
-        """Re-pack the archive with a mutated ``__meta__`` header."""
-        import json
-
-        import numpy as np
-
-        with np.load(path, allow_pickle=False) as archive:
-            members = {name: archive[name] for name in archive.files}
-        header = json.loads(str(members["__meta__"][()]))
-        mutate(header)
-        members["__meta__"] = np.asarray(json.dumps(header))
-        np.savez(path, **members)
-
-    def test_future_format_version_rejected(self, config_batch_path):
-        from repro.io import ArtifactError, load_batch_npz
-
-        def bump(header):
-            header["format_version"] += 1
-
-        self._rewrite_meta(config_batch_path, bump)
-        with pytest.raises(ArtifactError) as excinfo:
-            load_batch_npz(config_batch_path)
-        message = str(excinfo.value)
-        assert "config_batch" in message and "version" in message
-        assert "batch.npz" in message
-
-    def test_unknown_kind_lists_known_kinds(self, config_batch_path):
-        from repro.io import ArtifactError, load_batch_npz
-
-        def rename(header):
-            header["kind"] = "no_such_kind"
-
-        self._rewrite_meta(config_batch_path, rename)
-        with pytest.raises(ArtifactError, match="solution_batch"):
-            load_batch_npz(config_batch_path)
-
-    def test_truncated_archive_names_the_path(self, config_batch_path):
-        from repro.io import ArtifactError, load_batch_npz
-
-        data = config_batch_path.read_bytes()
-        config_batch_path.write_bytes(data[: len(data) // 3])
-        with pytest.raises(ArtifactError, match="batch.npz"):
-            load_batch_npz(config_batch_path)
-
-    def test_zero_byte_archive_names_the_path(self, config_batch_path):
-        from repro.io import ArtifactError, load_batch_npz
-
-        config_batch_path.write_bytes(b"")
-        with pytest.raises(ArtifactError, match="batch.npz"):
-            load_batch_npz(config_batch_path)
-
-    def test_missing_meta_member_rejected(self, tmp_path):
-        import numpy as np
-
-        from repro.io import ArtifactError, load_batch_npz
-
-        path = tmp_path / "bare.npz"
-        np.savez(path, some_column=np.zeros(3))
-        with pytest.raises(ArtifactError, match="bare.npz"):
-            load_batch_npz(path)
 
 
 class TestRoundTripVersionStamp:
