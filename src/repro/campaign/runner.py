@@ -285,11 +285,14 @@ class CampaignRunner:
         of ``quhe_result`` payloads; a resumed run decodes them instead of
         re-solving, and the decoded results carry the exact floats of the
         original solve (byte-identical records).  An unreadable chunk is
-        ignored and re-solved.  Neither the read nor the write passes a
-        fault seam: whether the file exists differs between a resumed run
-        and an uninterrupted one, so drawing from a seam here would shift
-        every later fault decision.
+        ignored and re-solved, and so is one whose payloads decode to
+        anything but ``quhe_result`` objects.  Neither the read nor the
+        write passes a fault seam: whether the file exists differs between
+        a resumed run and an uninterrupted one, so drawing from a seam here
+        would shift every later fault decision.
         """
+        from repro.core.quhe import QuHEResult
+
         path: Optional[Path] = None
         if self.out_dir is not None:
             path = (
@@ -298,7 +301,9 @@ class CampaignRunner:
             try:
                 payloads = json.loads(path.read_text())
                 if len(payloads) == len(configs):
-                    return [result_from_dict(p) for p in payloads]
+                    results = [result_from_dict(p) for p in payloads]
+                    if all(isinstance(r, QuHEResult) for r in results):
+                        return results
             except (OSError, TypeError, ValueError):
                 pass  # absent, torn or not a chunk: solve it again
         results = self.service.solve_many(configs, use_cache=False)

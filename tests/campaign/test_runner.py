@@ -1,11 +1,13 @@
 """Campaign runner: persistence, resume, aggregation, byte-identity."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.api.service import SolverService
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
@@ -19,6 +21,7 @@ from repro.campaign.runner import (
     CANONICAL_DIRNAME,
     MANIFEST_FILENAME,
 )
+from repro.core.config import paper_config
 from repro.faults import FaultPlan, FaultRule
 from repro.io import result_from_dict, result_to_dict
 
@@ -41,14 +44,40 @@ def completed_dir(spec, tmp_path_factory):
     return out_dir
 
 
+def counting_fires(run, *seams):
+    """Call ``run()``; return its result and how often each of ``seams``
+    was hit (a no-op ``hang`` rule fires at every hit and changes nothing)."""
+    counting = FaultPlan(rules=tuple(
+        FaultRule(seam=seam, kind="hang", max_fires=0) for seam in seams))
+    with counting.activate() as injector:
+        result = run()
+    counts = injector.fire_counts()
+    return result, [counts.get(seam, 0) for seam in seams]
+
+
 def resume_counting_solves(out_dir):
     """Resume ``out_dir``; return the result and how many configs it solved
     (counted by ``worker.solve`` fires)."""
-    counting = FaultPlan(rules=(
-        FaultRule(seam="worker.solve", kind="hang", max_fires=0),))
-    with counting.activate() as injector:
-        result = resume_campaign(out_dir)
-    return result, injector.fire_counts().get("worker.solve", 0)
+    result, (solved,) = counting_fires(
+        lambda: resume_campaign(out_dir), "worker.solve")
+    return result, solved
+
+
+def strip_runtimes(payload):
+    """Drop wall-clock fields so two separate solves compare equal."""
+    if isinstance(payload, dict):
+        return {
+            k: strip_runtimes(v) for k, v in payload.items() if k != "runtime_s"
+        }
+    if isinstance(payload, list):
+        return [strip_runtimes(v) for v in payload]
+    return payload
+
+
+def chunk_payloads(out_dir):
+    """The quhe_result payloads of ``out_dir``'s first canonical chunk."""
+    path = out_dir / CANONICAL_DIRNAME / "chunk_00000.json"
+    return json.loads(path.read_text())
 
 
 class TestArtifacts:
@@ -84,6 +113,16 @@ class TestArtifacts:
         restored = result_from_dict(payload)
         assert restored.complete
         assert result_to_dict(restored) == payload
+
+    def test_canonical_chunk_holds_the_baseline_solves(self, completed_dir):
+        """The chunk file keeps one quhe_result payload per distinct
+        baseline config, in first-use order: the exact results of solving
+        those configs together (wall-clock fields aside)."""
+        configs = [paper_config(seed=seed) for seed in (2, 3)]
+        fresh = SolverService().solve_many(configs, use_cache=False)
+        assert [strip_runtimes(p) for p in chunk_payloads(completed_dir)] == [
+            strip_runtimes(result_to_dict(r)) for r in fresh
+        ]
 
     def test_mixing_campaigns_in_one_dir_rejected(self, spec, completed_dir):
         other = CampaignSpec(
@@ -178,24 +217,48 @@ class TestResume:
             completed_dir / AGGREGATE_FILENAME
         ).read_bytes()
 
-    @pytest.mark.parametrize("damage", ["npz", "torn"])
+    @pytest.mark.parametrize("damage", [
+        "npz", "torn", "empty", "object", "short", "wrong_kind",
+        "future_version", "malformed",
+    ])
     def test_unreadable_chunk_is_solved_again(
         self, spec, completed_dir, tmp_path, damage
     ):
-        """A chunk in the old npz format, or a torn chunk file, is ignored:
-        the resume solves the chunk's configs again, to the same bytes."""
+        """A chunk that does not decode to one quhe_result per config is
+        ignored: the old npz format, a torn or empty file, a JSON object, too
+        few payloads, payloads of another kind or format version, or a
+        payload missing a field.  The resume solves the chunk's configs
+        again, to the same bytes."""
         out_dir = tmp_path / damage
         CampaignRunner(spec, out_dir=out_dir).run(max_cells=2)
         chunk = out_dir / CANONICAL_DIRNAME / "chunk_00000.json"
+        payloads = chunk_payloads(out_dir)
         if damage == "npz":
             chunk.unlink()
             header = {"kind": "solution_batch", "format_version": 1,
                       "meta": {}}
             np.savez(chunk.with_suffix(".npz"), objective=np.zeros(2),
                      __meta__=np.asarray(json.dumps(header)))
-        else:
+        elif damage == "torn":
             text = chunk.read_text()
             chunk.write_text(text[: len(text) // 2])
+        elif damage == "empty":
+            chunk.write_bytes(b"")
+        elif damage == "object":
+            chunk.write_text(json.dumps(dict(zip("ab", payloads))))
+        elif damage == "short":
+            chunk.write_text(json.dumps(payloads[:1]))
+        elif damage == "wrong_kind":
+            stage1 = [result_to_dict(result_from_dict(p).stage1)
+                      for p in payloads]
+            chunk.write_text(json.dumps(stage1))
+        elif damage == "future_version":
+            for p in payloads:
+                p["format_version"] += 1
+            chunk.write_text(json.dumps(payloads))
+        else:
+            del payloads[1]["metrics"]
+            chunk.write_text(json.dumps(payloads))
 
         resumed, solved = resume_counting_solves(out_dir)
         assert resumed.complete
@@ -204,6 +267,34 @@ class TestResume:
             completed_dir / AGGREGATE_FILENAME
         ).read_bytes()
         assert len(json.loads(chunk.read_text())) == 2
+
+    def test_chunk_file_draws_no_artifact_write_decision(
+        self, spec, completed_dir, tmp_path
+    ):
+        """Neither writing nor reading the chunk file hits the
+        ``artifact.write`` fault seam: a run that finds its chunk on disk
+        makes as many seam draws as one that solves and writes it, so a
+        fault plan makes the same decisions in both."""
+        fresh_dir = tmp_path / "fresh"
+        _, (fresh_draws,) = counting_fires(
+            CampaignRunner(spec, out_dir=fresh_dir).run, "artifact.write")
+
+        cached_dir = tmp_path / "cached"
+        (cached_dir / CANONICAL_DIRNAME).mkdir(parents=True)
+        shutil.copy(
+            completed_dir / CANONICAL_DIRNAME / "chunk_00000.json",
+            cached_dir / CANONICAL_DIRNAME,
+        )
+        result, (cached_draws, solved) = counting_fires(
+            CampaignRunner(spec, out_dir=cached_dir).run,
+            "artifact.write", "worker.solve")
+        assert result.complete
+        assert solved == 0
+        assert cached_draws == fresh_draws > 0
+        for out_dir in (fresh_dir, cached_dir):
+            assert (out_dir / AGGREGATE_FILENAME).read_bytes() == (
+                completed_dir / AGGREGATE_FILENAME
+            ).read_bytes()
 
     def test_resume_legacy_directory_with_backend_keys(
         self, spec, completed_dir, tmp_path

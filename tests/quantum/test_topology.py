@@ -122,6 +122,11 @@ class TestQKDNetwork:
         with pytest.raises(ValueError, match="not a node"):
             QKDNetwork(links, [Route(1, "A", "B", (1,))], key_center="Z")
 
+    def test_key_center_may_be_either_endpoint(self):
+        links = [Link(1, ("A", "B"), 10.0, 50.0)]
+        net = QKDNetwork(links, [Route(1, "B", "A", (1,))], key_center="B")
+        assert net.key_center == "B"
+
     def test_link_ids_must_be_contiguous(self):
         links = [Link(2, ("A", "B"), 10.0, 50.0)]
         with pytest.raises(ValueError, match="1..L"):

@@ -10,10 +10,14 @@ newly added codec (e.g. ``campaign_result`` in this PR) is covered the
 moment it registers, with no per-kind test to forget.
 """
 
+import json
+
 import pytest
 
+from repro.errors import ArtifactError
 from repro.io import (
     _CODECS_BY_KIND,
+    load_result,
     registered_kinds,
     result_from_dict,
     result_to_dict,
@@ -76,6 +80,18 @@ class TestVersionGating:
     def test_unknown_kind_lists_known_kinds(self):
         with pytest.raises(ValueError, match="campaign_result"):
             result_from_dict({"kind": "no_such_kind", "format_version": 1})
+
+    @pytest.mark.parametrize("kind", ["config_batch", "solution_batch"])
+    def test_retired_batch_kind_rejected_naming_the_file(self, kind, tmp_path):
+        """The columnar batch kinds are no longer registered: an artifact
+        left over from them fails as an unknown kind, with its path named,
+        instead of decoding as anything."""
+        assert kind not in registered_kinds()
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"kind": kind, "format_version": 1}))
+        with pytest.raises(ArtifactError, match="unknown result kind") as exc:
+            load_result(path)
+        assert str(path) in str(exc.value)
 
 
 class TestRoundTripVersionStamp:
