@@ -764,10 +764,10 @@ SUITES = {
         Floor(op="config_batch_solve", min_ops_per_second=50.0),
     )),
     "sim": (sim_suite, (
-        Floor(op="sim_clean", min_ops_per_second=62_300.0),
+        Floor(op="sim_clean", min_ops_per_second=180_200.0),
     )),
     "routing": (routing_suite, (
-        Floor(op="routing_n16", min_ops_per_second=12_400.0),
+        Floor(op="routing_n16", min_ops_per_second=24_400.0),
         # a 16-node reopt within 0.74 s
         Floor(op="reopt_n16", min_ops_per_second=1.36),
     )),

@@ -2,7 +2,8 @@
 """(Re)generate the golden event-trace corpus under ``tests/sim/golden/``.
 
 One JSON file per ``sim-*`` scenario, pinning the SHA-256 event-trace
-digest of every :data:`repro.sim.golden.GOLDEN_SEEDS` seed under the
+digest and the SHA-256 of the deterministic result payload of every run at
+every :data:`repro.sim.golden.GOLDEN_SEEDS` seed under the
 :data:`repro.sim.golden.GOLDEN_CASES` parameters.  The tier-1 test
 ``tests/sim/test_golden_traces.py`` recomputes and compares them.
 
@@ -26,20 +27,20 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.sim.golden import GOLDEN_CASES, GOLDEN_SEEDS, compute_digests  # noqa: E402
+from repro.sim.golden import GOLDEN_CASES, GOLDEN_SEEDS, compute_pins  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "sim" / "golden"
 
 
 def corpus_payload(scenario: str) -> dict:
+    pins = {str(seed): compute_pins(scenario, seed) for seed in GOLDEN_SEEDS}
     return {
         "kind": "golden_traces",
-        "format_version": 1,
+        "format_version": 2,
         "scenario": scenario,
         "params": GOLDEN_CASES[scenario],
-        "digests": {
-            str(seed): compute_digests(scenario, seed) for seed in GOLDEN_SEEDS
-        },
+        "digests": {seed: digests for seed, (digests, _) in pins.items()},
+        "payloads": {seed: payloads for seed, (_, payloads) in pins.items()},
     }
 
 

@@ -31,12 +31,15 @@ A heap entry is the tuple ``(time, priority, seq, event)``.  ``seq`` is
 unique, so :mod:`heapq` orders entries in C on exactly the key above and
 never compares two :class:`Event` objects.  A :class:`Process` re-arms
 through the same push as :meth:`Simulator.schedule`, reusing one
-:class:`Event` per process for all of its step events.  The trace is kept
-in chunks of ``TRACE_CHUNK`` events: the open chunk holds times in an
-``array('d')`` and tags as shared string references; when it fills, it is
-folded into the digest and its tags become integer codes into the
-simulator's tag table.  SHA-256 is streaming, so the digest equals the
-per-event ``pack("<d", time) + tag.encode()`` formula byte for byte.
+:class:`Event` per process for all of its step events.  The entanglement
+sources are not on the heap: their bank
+(:class:`repro.sim.processes.SourceBank`) is advanced, in one vectorized
+pass, over every attempt ordered before the next heap entry.  The trace is
+kept in chunks of ``TRACE_CHUNK`` events: the open chunk holds times in an
+``array('d')`` and tags as integer codes into the simulator's tag table;
+when it fills, it is folded into the digest and stored.  SHA-256 is
+streaming, so the digest equals the per-event
+``pack("<d", time) + tag.encode()`` formula byte for byte.
 
 See ``docs/simulation.md`` for the event model and a worked example of
 adding a process.
@@ -45,11 +48,9 @@ adding a process.
 from __future__ import annotations
 
 import hashlib
-import struct
 import zlib
 from array import array
 from heapq import heappop, heappush
-from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,16 +61,6 @@ __all__ = ["Event", "Entity", "Process", "RngStreams", "Simulator"]
 
 #: Events per trace chunk: the open chunk is hashed and coded when it fills.
 TRACE_CHUNK = 1 << 13
-
-_pack_time = struct.Struct("<d").pack
-
-
-def _chunk_bytes(times: array, tags: List[str]) -> bytes:
-    """The digest input of a run of events: ``pack("<d", t) + tag`` each."""
-    encoded = {tag: tag.encode("utf-8") for tag in set(tags)}
-    return b"".join(chain.from_iterable(zip(
-        map(_pack_time, times), map(encoded.__getitem__, tags)
-    )))
 
 
 def _inert() -> None:
@@ -253,15 +244,20 @@ class Simulator:
         self._seq = 0
         self._entities: List[Entity] = []
         self._started = 0  # entities already start()ed
+        #: the entanglement sources' bank, made by the first source started
+        self._bank: Any = None
         self.events_processed = 0
         # Chunked trace: full chunks as (times, tag codes) pairs, already in
-        # the digest; the open chunk's times and tag strings; the tag table.
+        # the digest; the open chunk's times and tag codes; the tag table
+        # and, for hashing, its names as a zero-padded byte matrix with
+        # each row's mask of real bytes.
         self._trace_hash = hashlib.sha256() if record_trace else None
         self._trace_chunks: List[Tuple[array, array]] = []
         self._open_times = array("d")
-        self._open_tags: List[str] = []
+        self._open_codes = array("L")
         self._tag_codes: Dict[str, int] = {}
         self._tag_names: List[str] = []
+        self._tag_bytes: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- clock & randomness ---------------------------------------------------
 
@@ -322,6 +318,10 @@ class Simulator:
         handler raises, the exception propagates with the clock at that
         event's time, and the counters and trace cover every event fired up
         to and including it.
+
+        Before each heap entry is popped, the source bank (if any) fires
+        every attempt ordered before that entry's ``(time, priority, seq)``
+        key; it counts and traces them itself.
         """
         if not until >= self._now:
             if _is_nan(until):
@@ -334,15 +334,25 @@ class Simulator:
             entity.start()
         heap = self._heap
         pop = heappop
+        bank = self._bank
         tracing = self._trace_hash is not None
         if tracing:
             log_time = self._open_times.append
-            log_tag = self._open_tags.append
-            # the value of ``processed`` at which the open chunk is full
-            close_at = TRACE_CHUNK - len(self._open_tags)
+            log_code = self._open_codes.append
+            codes = self._tag_codes
+            room = TRACE_CHUNK - len(self._open_codes)
+        before = self.events_processed
         processed = 0
         try:
-            while heap and heap[0][0] <= until:
+            while True:
+                if bank is not None and bank.next_time <= until and (
+                    not heap or bank.next_time <= heap[0][0]
+                ):
+                    bank.advance(heap[0] if heap else None, until)
+                    if tracing:
+                        room = TRACE_CHUNK - len(self._open_codes)
+                if not heap or heap[0][0] > until:
+                    break
                 time, _, _, event = pop(heap)
                 if event.cancelled:
                     continue
@@ -350,15 +360,17 @@ class Simulator:
                 processed += 1
                 if tracing:
                     log_time(time)
-                    log_tag(event.tag)
-                    if processed == close_at:
+                    code = codes.get(event.tag)
+                    log_code(self.tag_code(event.tag) if code is None else code)
+                    room -= 1
+                    if not room:
                         self._close_chunk()
-                        close_at += TRACE_CHUNK
+                        room = TRACE_CHUNK
                 event.fn()
         finally:
             self.events_processed += processed
         self._now = float(until)
-        return processed
+        return self.events_processed - before
 
     def release(self) -> None:
         """Drop the pending events and the entities of a finished run.
@@ -368,12 +380,15 @@ class Simulator:
         them they form reference cycles that only the cyclic garbage
         collector frees.  After ``release`` the clock, the counters and the
         trace stay readable, and the last reference to the simulator frees
-        it and its trace at once.  Pending events are discarded and the
-        processes' step events made inert.
+        it and its trace at once.  Pending events are discarded, the
+        processes' step events made inert and the source bank's buffers
+        dropped.
         """
         for entity in self._entities:
             if isinstance(entity, Process):
                 entity._event.fn = _inert
+        if self._bank is not None:
+            self._bank.release()
         self._heap.clear()
         self._entities.clear()
         self._started = 0
@@ -401,25 +416,75 @@ class Simulator:
 
     # -- audit ----------------------------------------------------------------
 
+    def tag_code(self, tag: str) -> int:
+        """The trace's integer code for ``tag`` (the next free one if new)."""
+        code = self._tag_codes.get(tag)
+        if code is None:
+            code = self._tag_codes[tag] = len(self._tag_names)
+            self._tag_names.append(tag)
+        return code
+
+    def _log_block(self, times: np.ndarray, codes: np.ndarray) -> None:
+        """Append a run of processed events to the trace, in order.
+
+        ``times`` is float64 and ``codes`` holds :meth:`tag_code` values;
+        the open chunk is closed each time it fills.
+        """
+        open_times, open_codes = self._open_times, self._open_codes
+        codes = codes.astype("L", copy=False)
+        start = 0
+        while start < len(times):
+            stop = min(len(times), start + TRACE_CHUNK - len(open_codes))
+            open_times.frombytes(times[start:stop].tobytes())
+            open_codes.frombytes(codes[start:stop].tobytes())
+            if len(open_codes) == TRACE_CHUNK:
+                self._close_chunk()
+            start = stop
+
     def _close_chunk(self) -> None:
-        """Fold the full open chunk into the digest, store it coded, empty it.
+        """Fold the full open chunk into the digest, store it, empty it.
 
         Hashing chunk by chunk gives the same SHA-256 as hashing event by
-        event.  Tags new to the table get the next codes; the codes are
-        ``'H'`` while the table fits 16 bits and ``'L'`` past that.
+        event.  The stored codes are ``'H'`` while the tag table fits 16
+        bits and ``'L'`` past that.
         """
-        times, tags = self._open_times, self._open_tags
-        codes, names = self._tag_codes, self._tag_names
-        for tag in set(tags).difference(codes):
-            codes[tag] = len(names)
-            names.append(tag)
-        self._trace_hash.update(_chunk_bytes(times, tags))
-        code = "H" if len(names) <= 1 << 16 else "L"
-        self._trace_chunks.append(
-            (times[:], array(code, map(codes.__getitem__, tags)))
-        )
+        times, codes = self._open_times, self._open_codes
+        self._trace_hash.update(self._chunk_bytes(times, codes))
+        code = "H" if len(self._tag_names) <= 1 << 16 else "L"
+        stored = array(code)
+        stored.frombytes(np.frombuffer(codes, dtype="L").astype(code).tobytes())
+        self._trace_chunks.append((times[:], stored))
         del times[:]
-        tags.clear()
+        del codes[:]
+
+    def _chunk_bytes(self, times: array, codes: array) -> bytes:
+        """The digest input of a run of events: ``pack("<d", t) + tag`` each.
+
+        Built in one pass: a row per event holding the time's eight
+        little-endian bytes and the tag's zero-padded UTF-8 bytes, then the
+        padding dropped with a mask.
+        """
+        if not codes:
+            return b""
+        names = self._tag_names
+        if self._tag_bytes is None or len(self._tag_bytes[0]) != len(names):
+            encoded = [name.encode("utf-8") for name in names]
+            width = max(map(len, encoded))
+            table = np.frombuffer(
+                b"".join(raw.ljust(width, b"\0") for raw in encoded), np.uint8
+            ).reshape(len(encoded), width)
+            lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+            keep = np.arange(8 + width) < (lengths + 8)[:, None]
+            self._tag_bytes = (table, keep)
+        table, keep = self._tag_bytes
+        index = np.frombuffer(codes, dtype=codes.typecode)
+        rows = np.empty((len(index), keep.shape[1]), np.uint8)
+        rows[:, :8] = (
+            np.frombuffer(times, dtype=np.float64).astype("<f8").view(np.uint8)
+            .reshape(-1, 8)
+        )
+        rows[:, 8:] = table.take(index, axis=0)
+        return rows[keep.take(index, axis=0)].tobytes()
 
     @property
     def trace(self) -> List[Tuple[float, str]]:
@@ -428,9 +493,9 @@ class Simulator:
             raise RuntimeError("trace recording is off; pass record_trace=True")
         name = self._tag_names.__getitem__
         pairs: List[Tuple[float, str]] = []
-        for times, codes in self._trace_chunks:
+        for times, codes in (*self._trace_chunks,
+                             (self._open_times, self._open_codes)):
             pairs.extend(zip(times, map(name, codes)))
-        pairs.extend(zip(self._open_times, self._open_tags))
         return pairs
 
     def trace_digest(self) -> str:
@@ -443,7 +508,7 @@ class Simulator:
         if self._trace_hash is None:
             return ""
         digest = self._trace_hash.copy()
-        digest.update(_chunk_bytes(self._open_times, self._open_tags))
+        digest.update(self._chunk_bytes(self._open_times, self._open_codes))
         return digest.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,4 +1,4 @@
-"""Golden-trace regression corpus: pinned event-trace digests.
+"""Golden-trace regression corpus: pinned event-trace and payload digests.
 
 The simulator's determinism contract (``docs/simulation.md``) says a
 ``(scenario, params, seed)`` triple fully determines the event trace.  The
@@ -7,6 +7,12 @@ for every ``sim-*`` scenario at three seeds are checked in under
 ``tests/sim/golden/`` and recomputed by a tier-1 test, so an RNG-stream
 reordering (like PR 4's bulk-draw change) that silently alters
 trajectories fails CI instead of shipping.
+
+A trace digest covers ``(time, tag)`` only: which route a pair went to,
+pending-cap drops and the delivered and served bits never enter it.  So
+every run also pins the SHA-256 of its
+:meth:`~repro.sim.result.SimulationResult.deterministic_payload` as
+canonical JSON (:func:`payload_digest`).
 
 This module is the single source of the corpus definition — the generator
 (``scripts/gen_golden_traces.py``) and the regression test
@@ -20,9 +26,16 @@ never from whatever a shared cache happens to hold.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, Tuple
 
-__all__ = ["GOLDEN_CASES", "GOLDEN_SEEDS", "compute_digests"]
+__all__ = [
+    "GOLDEN_CASES",
+    "GOLDEN_SEEDS",
+    "compute_pins",
+    "payload_digest",
+]
 
 #: The pinned replication seeds (chosen to include an outage-free and
 #: outage-heavy realization under the disrupted parameter sets).
@@ -81,16 +94,35 @@ GOLDEN_CASES: Dict[str, Dict[str, float]] = {
 }
 
 
-def compute_digests(
-    scenario: str, seed: int, *, service=None
-) -> Dict[str, str]:
-    """The scenario's trace digest(s) at ``seed`` under the pinned params.
+def payload_digest(result) -> str:
+    """SHA-256 of a run's deterministic payload as canonical JSON."""
+    text = json.dumps(
+        result.deterministic_payload(), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    Returns ``{"trace": ...}`` for the single-run scenarios and
-    ``{"adaptive": ..., "static": ...}`` for ``sim-adaptive`` (both runs of
-    the study are pinned: the policies share disruption randomness, so
-    either diverging is a regression).
+
+def compute_pins(
+    scenario: str, seed: int, *, service=None
+) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """The scenario's trace digests and payload digests at ``seed``.
+
+    Both map run names to digests: ``{"trace": ...}`` for the single-run
+    scenarios, ``{"adaptive": ..., "static": ...}`` for ``sim-adaptive``
+    and ``{"proactive": ..., "reactive": ..., "static": ...}`` for
+    ``sim-routing-compare`` (every run of a study is pinned: the policies
+    share disruption randomness, so any one diverging is a regression).
+    The scenario runs once for both.
     """
+    runs = _run_case(scenario, seed, service)
+    return (
+        {name: result.trace_digest for name, result in runs.items()},
+        {name: payload_digest(result) for name, result in runs.items()},
+    )
+
+
+def _run_case(scenario: str, seed: int, service) -> Dict[str, object]:
+    """Run name -> :class:`~repro.sim.result.SimulationResult` of a case."""
     from repro.api.service import SolverService
     from repro.experiments.simulation import (
         run_adaptive_sim,
@@ -111,7 +143,7 @@ def compute_digests(
             demand_factor=params["demand_factor"],
             service=service,
         )
-        return {"trace": result.trace_digest}
+        return {"trace": result}
     if scenario == "sim-outage":
         result = run_outage_sim(
             seed=seed,
@@ -122,7 +154,7 @@ def compute_digests(
             sample_dt=params["sample_dt"],
             service=service,
         )
-        return {"trace": result.trace_digest}
+        return {"trace": result}
     if scenario == "sim-adaptive":
         study = run_adaptive_sim(
             seed=seed,
@@ -135,10 +167,7 @@ def compute_digests(
             sample_dt=params["sample_dt"],
             service=service,
         )
-        return {
-            "adaptive": study.adaptive.trace_digest,
-            "static": study.static.trace_digest,
-        }
+        return {"adaptive": study.adaptive, "static": study.static}
     if scenario == "sim-multipath":
         result = run_multipath_sim(
             seed=seed,
@@ -154,7 +183,7 @@ def compute_digests(
             sample_dt=params["sample_dt"],
             service=service,
         )
-        return {"trace": result.trace_digest}
+        return {"trace": result}
     if scenario == "sim-routing-compare":
         study = run_routing_compare(
             seed=seed,
@@ -170,11 +199,9 @@ def compute_digests(
             sample_dt=params["sample_dt"],
             service=service,
         )
-        # all three runs are pinned: the policies share the outage
-        # schedule, so any one diverging is a regression
         return {
-            "proactive": study.proactive.trace_digest,
-            "reactive": study.reactive.trace_digest,
-            "static": study.static.trace_digest,
+            "proactive": study.proactive,
+            "reactive": study.reactive,
+            "static": study.static,
         }
     raise KeyError(f"no golden case for scenario {scenario!r}")

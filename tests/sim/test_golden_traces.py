@@ -1,9 +1,9 @@
 """Golden-trace regression corpus (tier-1).
 
-Recomputes the event-trace digest of every pinned ``(scenario, seed)``
-case and compares it against the committed corpus under
-``tests/sim/golden/``.  A mismatch means an RNG-stream or trajectory
-change: if intentional, regenerate with
+Recomputes the event-trace digest and the deterministic-payload digest of
+every pinned ``(scenario, seed)`` case and compares them against the
+committed corpus under ``tests/sim/golden/``.  A mismatch means an
+RNG-stream or trajectory change: if intentional, regenerate with
 ``python scripts/gen_golden_traces.py`` and say so in the commit; if not,
 this test just caught a silent behavioural regression (the failure mode
 PR 4's bulk-draw refactor had to be property-tested against).
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.golden import GOLDEN_CASES, GOLDEN_SEEDS, compute_digests
+from repro.sim.golden import GOLDEN_CASES, GOLDEN_SEEDS, compute_pins
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -42,11 +42,13 @@ class TestCorpusShape:
         """The committed params/seeds are the ones this module would run."""
         corpus = load_corpus(scenario)
         assert corpus["kind"] == "golden_traces"
-        assert corpus["format_version"] == 1
+        assert corpus["format_version"] == 2
         assert corpus["params"] == GOLDEN_CASES[scenario]
         assert set(corpus["digests"]) == {str(s) for s in GOLDEN_SEEDS}
-        for entry in corpus["digests"].values():
-            for digest in entry.values():
+        for seed, entry in corpus["digests"].items():
+            # one payload digest beside every trace digest
+            assert set(corpus["payloads"][seed]) == set(entry)
+            for digest in (*entry.values(), *corpus["payloads"][seed].values()):
                 assert len(digest) == 64 and int(digest, 16) >= 0
 
 
@@ -54,13 +56,19 @@ class TestCorpusShape:
 def test_recomputed_digests_match_corpus(scenario):
     corpus = load_corpus(scenario)
     for seed in GOLDEN_SEEDS:
-        recomputed = compute_digests(scenario, seed)
+        digests, payloads = compute_pins(scenario, seed)
         pinned = corpus["digests"][str(seed)]
-        assert recomputed == pinned, (
+        assert digests == pinned, (
             f"{scenario} seed {seed}: event trace diverged from the golden "
-            f"corpus ({recomputed} != {pinned}).  If this trajectory change "
+            f"corpus ({digests} != {pinned}).  If this trajectory change "
             "is intentional, regenerate tests/sim/golden/ with "
             "scripts/gen_golden_traces.py and document why."
+        )
+        # Routing of successes, drops and delivered/served bits are not in
+        # the trace; the payload digest pins them.
+        assert payloads == corpus["payloads"][str(seed)], (
+            f"{scenario} seed {seed}: result payload diverged from the "
+            f"golden corpus ({payloads} != {corpus['payloads'][str(seed)]})"
         )
 
 

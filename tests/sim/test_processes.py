@@ -5,7 +5,7 @@ import pytest
 
 from repro.api.service import SolverService, config_fingerprint
 from repro.core.config import paper_config
-from repro.errors import SolverError
+from repro.errors import ConfigurationError, SolverError
 from repro.sim import QuantumNetworkSimulation, SimParams
 from repro.sim.engine import Simulator
 from repro.sim.processes import (
@@ -97,6 +97,25 @@ class TestAllocationState:
         state = AllocationState(config.network, allocation.phi, allocation.w)
         with pytest.raises(ValueError, match="do not match the"):
             state.update(allocation.phi[:-1], allocation.w)
+
+    @pytest.mark.parametrize("field", ["phi", "w"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_update_rejects_non_finite_allocation(
+        self, config, allocation, field, bad
+    ):
+        """A NaN w would read as success probability 1 and F_skf = 1; a NaN
+        φ would hand every pair on its links to one route."""
+        state = AllocationState(config.network, allocation.phi, allocation.w)
+        tables = (list(state.success_prob), list(state.assignment),
+                  list(state.skf))
+        phi, w = allocation.phi.copy(), allocation.w.copy()
+        (phi if field == "phi" else w)[1] = bad
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            state.update(phi, w)
+        assert (list(state.success_prob), list(state.assignment),
+                list(state.skf)) == tables
+        with pytest.raises(ValueError, match="at index 1"):
+            AllocationState(config.network, phi, w)
 
 
 class TestRouteBuffers:
