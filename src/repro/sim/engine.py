@@ -31,10 +31,13 @@ A heap entry is the tuple ``(time, priority, seq, event)``.  ``seq`` is
 unique, so :mod:`heapq` orders entries in C on exactly the key above and
 never compares two :class:`Event` objects.  A :class:`Process` re-arms
 through the same push as :meth:`Simulator.schedule`, reusing one
-:class:`Event` per process for all of its step events.  The entanglement
-sources are not on the heap: their bank
-(:class:`repro.sim.processes.SourceBank`) is advanced, in one vectorized
-pass, over every attempt ordered before the next heap entry.  The trace is
+:class:`Event` per process for all of its step events.  Events too many
+for one heap entry each live in a :class:`Bank` (the entanglement sources'
+:class:`repro.sim.processes.SourceBank`): before each pop the run loop hands
+it a :class:`Window`, and the bank fires, in one vectorized block, every
+event of its chains ordered before the heap's next entry; the simulator
+orders, sequences, counts and traces the block (:meth:`Simulator.fire_block`)
+as the heap would have.  The trace is
 kept in chunks of ``TRACE_CHUNK`` events: the open chunk holds times in an
 ``array('d')`` and tags as integer codes into the simulator's tag table;
 when it fills, it is folded into the digest and stored.  SHA-256 is
@@ -50,14 +53,14 @@ from __future__ import annotations
 import hashlib
 import zlib
 from array import array
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import faults as _faults
 
-__all__ = ["Event", "Entity", "Process", "RngStreams", "Simulator"]
+__all__ = ["Bank", "Event", "Entity", "Process", "RngStreams", "Simulator", "Window"]
 
 #: Events per trace chunk: the open chunk is hashed and coded when it fills.
 TRACE_CHUNK = 1 << 13
@@ -219,6 +222,102 @@ class Process(Entity):
         self._arm()
 
 
+#: The seq to give :meth:`Window.count_due` for an event armed in the window.
+ARMED = np.iinfo(np.int64).max
+
+
+class Window:
+    """The off-heap events that fire before the run loop's next heap pop.
+
+    An event belongs to the window iff it is ordered before ``head``, the
+    ``(time, priority, seq)`` key of the heap's first entry, and lies at or
+    before the run horizon ``until``.  ``limit`` is the latest time an event
+    of the window can have.
+    """
+
+    __slots__ = ("head", "until", "limit")
+
+    def __init__(self, head: Tuple[float, float, int], until: float) -> None:
+        self.head = head
+        self.until = until
+        self.limit = min(head[0], until)
+
+    def before(self, time: float) -> "Window":
+        """This window cut to the events strictly before ``time``."""
+        return Window((time, -np.inf, 0), self.until)
+
+    def count_due(
+        self, chains: np.ndarray, priority: int, seqs: np.ndarray
+    ) -> np.ndarray:
+        """How many leading events of each chain are in the window.
+
+        ``chains[i]`` holds chain i's next event times, non-decreasing.  The
+        event in column 0 has seq ``seqs[i]``; every later one is armed
+        inside the window, after every entry on the heap, so it follows any
+        heap entry at its time and priority.  Pass :data:`ARMED` as the seq
+        of a column-0 event that was armed inside the window too.
+        """
+        ht, hp, hq = self.head
+        if ht > self.until:
+            due = chains <= self.until
+        else:
+            due = chains < ht
+            if hp > priority:
+                due |= chains == ht
+            elif hp == priority:
+                due[:, 0] |= (chains[:, 0] == ht) & (seqs < hq)
+        return due.sum(axis=1)
+
+
+class Bank:
+    """Chains of same-priority events kept off the heap, fired in blocks.
+
+    A bank stands in for many processes that would each keep one pending
+    step event on the heap and re-arm after every step: each chain has one
+    pending event, armed with a seq from :meth:`Simulator.reserve_seq` or
+    :meth:`Simulator.fire_block`.  Only heap events can change what a chain
+    does, so before each heap pop the run loop calls :meth:`advance` with
+    the :class:`Window` of events that fire first, and the bank fires them
+    all through :meth:`Simulator.fire_block`: same order, seqs, counters and
+    trace as one heap event per step.  A simulator holds at most one bank
+    (:attr:`Simulator.bank`).
+    """
+
+    #: the heap priority of every event of the bank
+    priority = 0
+    #: the earliest pending event (a lower bound will do); inf when none
+    next_time = np.inf
+
+    def advance(self, window: Window) -> None:
+        """Fire every pending event of the bank in ``window``."""
+        raise NotImplementedError
+
+    def release(self) -> None:
+        """Drop the buffers of a finished run (:meth:`Simulator.release`)."""
+
+
+def _tie_order(times: np.ndarray, chains: np.ndarray, seqs: np.ndarray,
+               seq0: int) -> np.ndarray:
+    """The heap's order of a block with tied times: pop by ``(time, seq)``,
+    each event arming its chain's next with the next free seq from
+    ``seq0``."""
+    by_chain = np.argsort(chains, kind="stable")  # each chain's, in order
+    successor = np.full(len(times), -1, np.intp)
+    same = chains[by_chain[1:]] == chains[by_chain[:-1]]
+    successor[by_chain[:-1][same]] = by_chain[1:][same]
+    heap = [(float(times[e]), int(seqs[chains[e]]), int(e))
+            for e in by_chain[np.r_[True, ~same]]]
+    heapify(heap)
+    order = []
+    while heap:
+        _, _, event = heappop(heap)
+        after = successor[event]
+        if after >= 0:
+            heappush(heap, (float(times[after]), seq0 + len(order), int(after)))
+        order.append(event)
+    return np.array(order, np.intp)
+
+
 class Simulator:
     """The discrete-event kernel: clock + heap + entities + RNG streams.
 
@@ -244,8 +343,8 @@ class Simulator:
         self._seq = 0
         self._entities: List[Entity] = []
         self._started = 0  # entities already start()ed
-        #: the entanglement sources' bank, made by the first source started
-        self._bank: Any = None
+        #: the off-heap events' bank, attached by its first user (a source)
+        self.bank: Optional[Bank] = None
         self.events_processed = 0
         # Chunked trace: full chunks as (times, tag codes) pairs, already in
         # the digest; the open chunk's times and tag codes; the tag table
@@ -308,6 +407,21 @@ class Simulator:
         heappush(self._heap, entry)
         return event
 
+    def reserve_seq(self) -> int:
+        """Take the next seq for an event armed off the heap (in a bank)."""
+        seq = self._seq
+        self._seq += 1
+        return seq
+
+    def push_inert(self, time: float, priority: int, seq: int, tag: str) -> None:
+        """Hand an off-heap pending event to the heap under its own key.
+
+        The event still fires at its time, traced under ``tag``, and does
+        nothing (a paused bank chain).  ``seq`` is the one it was armed with.
+        """
+        heappush(self._heap, (float(time), int(priority), int(seq),
+                              Event(_inert, tag)))
+
     # -- execution ------------------------------------------------------------
 
     def run(self, until: float) -> int:
@@ -319,9 +433,9 @@ class Simulator:
         event's time, and the counters and trace cover every event fired up
         to and including it.
 
-        Before each heap entry is popped, the source bank (if any) fires
-        every attempt ordered before that entry's ``(time, priority, seq)``
-        key; it counts and traces them itself.
+        Before each heap entry is popped, the :attr:`bank` (if any) fires
+        every event of its :class:`Window`: those ordered before that
+        entry's ``(time, priority, seq)`` key and at or before ``until``.
         """
         if not until >= self._now:
             if _is_nan(until):
@@ -334,7 +448,8 @@ class Simulator:
             entity.start()
         heap = self._heap
         pop = heappop
-        bank = self._bank
+        bank = self.bank
+        idle = (np.inf, 0, 0)  # the head of an empty heap
         tracing = self._trace_hash is not None
         if tracing:
             log_time = self._open_times.append
@@ -348,7 +463,7 @@ class Simulator:
                 if bank is not None and bank.next_time <= until and (
                     not heap or bank.next_time <= heap[0][0]
                 ):
-                    bank.advance(heap[0] if heap else None, until)
+                    bank.advance(Window(heap[0][:3] if heap else idle, until))
                     if tracing:
                         room = TRACE_CHUNK - len(self._open_codes)
                 if not heap or heap[0][0] > until:
@@ -372,6 +487,48 @@ class Simulator:
         self._now = float(until)
         return self.events_processed - before
 
+    def fire_block(
+        self,
+        times: np.ndarray,
+        chains: np.ndarray,
+        seqs: np.ndarray,
+        codes: np.ndarray,
+        actions: List[Tuple[int, Callable[..., None], tuple]],
+    ) -> np.ndarray:
+        """Process a bank's block of events in the heap's order.
+
+        ``times[i]`` is event i's time and ``chains[i]`` its chain; a
+        chain's events are listed in firing order, the first being its
+        pending event, armed with seq ``seqs[chain]``.  They share one
+        priority, so the heap would pop them by ``(time, seq)``, each one
+        arming its chain's next event with the next free seq.  In that order
+        the events are counted and traced (tag code ``codes[chain]``), then
+        each ``(event, fn, args)`` of ``actions`` calls ``fn(*args)`` in
+        event order with the clock at its event's time; the clock ends at
+        the last event.
+
+        Returns each event's armed seq: the one its chain's next event got.
+        """
+        n = len(times)
+        seq0 = self._seq
+        order = np.argsort(times)
+        ordered = times[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = _tie_order(times, chains, seqs, seq0)
+            ordered = times[order]
+        armed = np.empty(n, np.int64)
+        armed[order] = np.arange(seq0, seq0 + n)
+        self._seq = seq0 + n
+        if self._trace_hash is not None:
+            self._log_block(ordered, codes[chains[order]])
+        self.events_processed += n
+        for event, fn, args in sorted(actions, key=lambda a: armed[a[0]]):
+            self._now = float(times[event])
+            fn(*args)
+        if n:
+            self._now = float(ordered[-1])
+        return armed
+
     def release(self) -> None:
         """Drop the pending events and the entities of a finished run.
 
@@ -381,14 +538,13 @@ class Simulator:
         collector frees.  After ``release`` the clock, the counters and the
         trace stay readable, and the last reference to the simulator frees
         it and its trace at once.  Pending events are discarded, the
-        processes' step events made inert and the source bank's buffers
-        dropped.
+        processes' step events made inert and the bank's buffers dropped.
         """
         for entity in self._entities:
             if isinstance(entity, Process):
                 entity._event.fn = _inert
-        if self._bank is not None:
-            self._bank.release()
+        if self.bank is not None:
+            self.bank.release()
         self._heap.clear()
         self._entities.clear()
         self._started = 0

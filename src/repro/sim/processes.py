@@ -34,7 +34,6 @@ also integrates the analytic ``expected_key_bits``.)
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.errors import ConfigurationError
 from repro.quantum.topology import QKDNetwork
 from repro.quantum.werner import end_to_end_werner, secret_key_fraction
-from repro.sim.engine import Entity, Event, Process, _delay_error, _inert
+from repro.sim.engine import ARMED, Bank, Entity, Process, Window
 from repro.wireless.pathloss import rayleigh_power_gain
 
 __all__ = [
@@ -338,14 +337,12 @@ class EntanglementSource(Entity):
     byte-identical and independent of any other stream's activity.
     """
 
-    priority = PRIORITY_PHYSICS
-
     def __init__(
         self, link_index: int, beta: float, state: AllocationState, buffers: RouteBuffers
     ) -> None:
         super().__init__(f"gen.link{link_index + 1}")
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < beta < np.inf:  # also rejects NaN
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         self.link_index = link_index
         self.beta = float(beta)
         self.state = state
@@ -355,11 +352,11 @@ class EntanglementSource(Entity):
         self._slot = -1  # row in the bank's arrays
 
     def start(self) -> None:
-        bank = self.sim._bank
-        if bank is None:
-            bank = self.sim._bank = SourceBank(self.sim)
-        self._bank = bank
-        bank.register(self)
+        sim = self.sim
+        if sim.bank is None:
+            sim.bank = SourceBank(sim)
+        self._bank = sim.bank
+        self._bank.register(self)
 
     @property
     def attempts(self) -> int:
@@ -390,15 +387,15 @@ class EntanglementSource(Entity):
                 self._bank.arm(self)
 
 
-class SourceBank:
+class SourceBank(Bank):
     """Every :class:`EntanglementSource` of one simulator, fired in windows.
 
     Only heap events change what a source reads (its link's allocation,
     its pause flag), so between two heap events the sources' attempts are
     independent of each other.  Before the run loop pops a heap entry,
-    :meth:`advance` takes every pending attempt ordered before that entry's
-    ``(time, priority, seq)`` key and at or before the horizon, and fires
-    them in one vectorized pass:
+    :meth:`advance` takes every pending attempt in the engine's
+    :class:`~repro.sim.engine.Window` (ordered before that entry and at or
+    before the horizon) and fires them in one vectorized pass:
 
     * per source, it extends the chain of attempt times
       ``t_k = t_{k-1} + d_k`` (``np.add.accumulate`` along a row makes the
@@ -406,11 +403,11 @@ class SourceBank:
       uniforms into attempts (one uniform, or two when a success on a
       routed link picks its route), refilling either buffer at exactly the
       attempt where the heap path refilled it;
-    * across sources, it orders the attempts by time (an exact
-      ``(time, seq)`` merge when times tie), gives each fired attempt's
-      successor the seq it would have been armed with, appends the run to
-      the trace and the counters, and calls :meth:`RouteBuffers.on_pair`
-      for the routed successes in event order.
+    * across sources, :meth:`Simulator.fire_block
+      <repro.sim.engine.Simulator.fire_block>` puts the attempts in heap
+      order, gives each fired attempt's successor the seq it would have
+      been armed with, counts and traces them and runs
+      :meth:`RouteBuffers.on_pair` for the routed successes in event order.
 
     Per-source state is held in arrays shared by the bank, one row per
     source: the pending attempt's time and seq, the delay and uniform
@@ -419,6 +416,8 @@ class SourceBank:
     its own key, so it still fires, traced, and does nothing.
     :meth:`release` drops everything but the counters.
     """
+
+    priority = PRIORITY_PHYSICS
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -460,9 +459,8 @@ class SourceBank:
         self._names.add(source.name)
         sim = self.sim
         source._slot = len(self.sources) + len(self._staged)
-        self._staged.append((source, sim._seq, sim._now))
-        sim._seq += 1
-        self.next_time = min(self.next_time, sim._now)
+        self._staged.append((source, sim.reserve_seq(), sim.now))
+        self.next_time = min(self.next_time, sim.now)
         if not source.active:  # paused before it started
             self.pause(source)
 
@@ -487,8 +485,7 @@ class SourceBank:
         self._uniform_cells = cells
         self.uniforms = cells[:rows * (chunk + 1)].reshape(rows, chunk + 1)
         armed_at = np.array([now for _, _, now in staged])
-        codes = [sim.tag_code(source.name) if sim._trace_hash is not None else 0
-                 for source in sources]
+        codes = [sim.tag_code(source.name) for source in sources]
         n = len(sources)
         self.time = np.concatenate([self.time, armed_at + self.delays[old:, 0]])
         self.seq = np.concatenate([self.seq, [seq for _, seq, _ in staged]])
@@ -508,9 +505,7 @@ class SourceBank:
         self.sync()
         slot = source._slot
         time = float(self.time[slot])
-        entry = (time, PRIORITY_PHYSICS, int(self.seq[slot]),
-                 Event(_inert, source.name))
-        heappush(self.sim._heap, entry)
+        self.sim.push_inert(time, self.priority, int(self.seq[slot]), source.name)
         self.time[slot] = np.inf
         if time == self.next_time:
             self.next_time = float(self.time.min())
@@ -521,12 +516,10 @@ class SourceBank:
         slot = source._slot
         if self.dpos[slot] == self.chunk:
             self._refill_delays(slot)
-        sim = self.sim
-        time = sim._now + float(self.delays[slot, self.dpos[slot]])
+        time = self.sim.now + float(self.delays[slot, self.dpos[slot]])
         self.dpos[slot] += 1
         self.time[slot] = time
-        self.seq[slot] = sim._seq
-        sim._seq += 1
+        self.seq[slot] = self.sim.reserve_seq()
         self.next_time = min(self.next_time, time)
 
     def release(self) -> None:
@@ -546,12 +539,9 @@ class SourceBank:
     # -- draws ------------------------------------------------------------------
 
     def _draw_delays(self, source: EntanglementSource) -> np.ndarray:
-        draws = self.sim.stream(source.name).exponential(
+        return self.sim.stream(source.name).exponential(
             1.0 / source.beta, size=self.chunk
         )
-        if not draws.min() >= 0:  # also rejects NaN
-            raise _delay_error(draws[~(draws >= 0)][0], source.name)
-        return draws
 
     def _refill_delays(self, slot: int) -> None:
         self.delays[slot] = self._draw_delays(self.sources[slot])
@@ -581,9 +571,8 @@ class SourceBank:
 
     # -- firing -----------------------------------------------------------------
 
-    def advance(self, top: Optional[tuple], until: float) -> None:
-        """Fire every attempt ordered before heap entry ``top`` (``None``:
-        an empty heap) and at or before ``until``.
+    def advance(self, window: Window) -> None:
+        """Fire every pending attempt in ``window``.
 
         A window of more than about ``SLICE_ATTEMPTS`` attempts is fired in
         time slices, each taking every attempt strictly before its end, so
@@ -591,24 +580,19 @@ class SourceBank:
         """
         self.sync()
         self._read_state()
-        head = (np.inf, 0, 0) if top is None else top[:3]
-        limit = min(head[0], until)
         while True:
-            rows = np.flatnonzero(self.time <= limit)
+            rows = np.flatnonzero(self.time <= window.limit)
             if not len(rows):
                 return
             start = float(self.time[rows].min())
             cut = start + SLICE_ATTEMPTS / float(self.beta[rows].sum())
-            if not start < cut < limit:
-                self._fire(rows, head, until)
+            if not start < cut < window.limit:
+                self._fire(rows, window)
                 return
-            # a head no attempt ties with: everything before ``cut`` fires
-            self._fire(rows, (cut, PRIORITY_PHYSICS - 1, 0), until)
+            self._fire(rows, window.before(cut))
 
-    def _fire(self, rows, head, until) -> None:
-        """Fire the rows' attempts ordered before ``head``."""
-        sim = self.sim
-        seq0 = sim._seq
+    def _fire(self, rows, window: Window) -> None:
+        """Fire the rows' attempts in ``window``."""
         pieces = []
         # Rows whose link cannot succeed need no uniform values.  Each
         # row's attempts enter the pieces in firing order.
@@ -616,39 +600,23 @@ class SourceBank:
         for group, decide in ((rows[~can_win], False), (rows[can_win], True)):
             t0, k0 = self.time[group], np.zeros(len(group), np.intp)
             while len(group):
-                piece, group, t0, k0 = self._round(
-                    group, t0, k0, head, until, decide
-                )
+                piece, group, t0, k0 = self._round(group, t0, k0, window, decide)
                 pieces.append(piece)
         times, slots, last, won, second = map(np.concatenate, zip(*pieces))
         del pieces
-        n = len(times)
-        if not n:
+        if not len(times):
             return
-        order = np.argsort(times)
-        ordered = times[order]
-        if (ordered[1:] == ordered[:-1]).any():
-            order = self._tie_order(times, slots, seq0)
-            ordered = times[order]
-        rank = np.empty(n, np.intp)
-        rank[order] = np.arange(n)
-        # Attempt r armed its successor with seq seq0 + r; the successor
-        # of each row's last fired attempt is its pending one.
-        self.seq[slots[last]] = seq0 + rank[last]
-        sim._seq = seq0 + n
-        if sim._trace_hash is not None:
-            sim._log_block(ordered, self.codes[slots[order]])
-        sim.events_processed += n
+        routed = np.flatnonzero(second == second)  # not NaN: routed successes
+        actions = [(int(e), self._assign, (int(slots[e]), float(second[e])))
+                   for e in routed]
+        armed = self.sim.fire_block(times, slots, self.seq, self.codes, actions)
+        # The successor of each row's last fired attempt is its pending one.
+        self.seq[slots[last]] = armed[last]
         self.attempts += np.bincount(slots, minlength=len(self.sources))
         self.pairs += np.bincount(slots[won], minlength=len(self.sources))
         self.next_time = float(self.time.min())
-        routed = np.flatnonzero(second == second)  # not NaN: routed successes
-        for entry in routed[np.argsort(rank[routed])]:
-            self._assign(int(slots[entry]), float(second[entry]),
-                         float(times[entry]))
-        sim._now = float(ordered[-1])
 
-    def _round(self, rows, t0, k0, head, until, decide):
+    def _round(self, rows, t0, k0, window: Window, decide):
         """Fire each row's attempts until its window ends, a buffer runs
         out or the round's width is used up; refill the buffers that ran
         out.
@@ -666,10 +634,9 @@ class SourceBank:
         dpos, upos = self.dpos[rows], self.upos[rows]
         left_d = chunk - dpos  # arms the delay buffer still serves
         left_u = chunk + 1 - upos  # uniforms still unread
-        ht, hp, hq = head
         # Wide enough for a row at the mean rate; faster rows go on in a
         # later, narrower round.
-        span = min(ht, until) - float(t0.min())
+        span = window.limit - float(t0.min())
         width = chunk if span == np.inf else int(
             min(chunk, 8 + 1.25 * span * float(self.beta[rows].mean()))
         )
@@ -685,17 +652,10 @@ class SourceBank:
             rows * chunk + dpos
         ]
         chain = np.add.accumulate(chain, axis=1)
-        # Due: ordered before the heap entry (time, then priority, then seq;
-        # attempts armed in this window have seqs above every pending one).
-        if ht > until:
-            due = chain <= until
-        else:
-            due = chain < ht
-            if hp > PRIORITY_PHYSICS:
-                due |= chain == ht
-            elif hp == PRIORITY_PHYSICS:
-                due[:, 0] |= (chain[:, 0] == ht) & (k0 == 0) & (self.seq[rows] < hq)
-        due = due.sum(axis=1)
+        # Only a row's pending attempt (k0 == 0) was armed before the window.
+        due = window.count_due(
+            chain, self.priority, np.where(k0 == 0, self.seq[rows], ARMED)
+        )
 
         if decide:
             first, won, second, fits = self._decisions(rows, upos, left_u, width)
@@ -765,33 +725,12 @@ class SourceBank:
         fits = (first + 1 + two <= left_u[:, None]).sum(axis=1)
         return first, won, second, fits
 
-    def _tie_order(self, times, slots, seq0) -> np.ndarray:
-        """The heap's order of a window with tied times: pop by
-        ``(time, seq)``, each fired attempt arming its successor with the
-        next seq."""
-        by_row = np.argsort(slots, kind="stable")  # each row's, in order
-        successor = np.full(len(times), -1, np.intp)
-        same = slots[by_row[1:]] == slots[by_row[:-1]]
-        successor[by_row[:-1][same]] = by_row[1:][same]
-        heap = [(float(times[e]), int(self.seq[slots[e]]), int(e))
-                for e in by_row[np.r_[True, ~same]]]
-        heapify(heap)
-        order = []
-        while heap:
-            _, _, entry = heappop(heap)
-            after = successor[entry]
-            if after >= 0:
-                heappush(heap, (float(times[after]), seq0 + len(order), int(after)))
-            order.append(entry)
-        return np.array(order, np.intp)
-
-    def _assign(self, slot: int, u: float, time: float) -> None:
+    def _assign(self, slot: int, u: float) -> None:
         """Hand a routed success to the route its second uniform picks."""
         source = self.sources[slot]
         thresholds, targets = source.state.assignment[source.link_index]
         for threshold, (route_index, position) in zip(thresholds, targets):
             if u < threshold:
-                self.sim._now = time
                 source.buffers.on_pair(route_index, position)
                 return
         # u beyond the allocated shares: surplus pair, discarded.

@@ -18,8 +18,10 @@ The second half checks :class:`~repro.sim.processes.SourceBank` against
 Sources draw from scripted streams: delays on the quarter-second grid
 (ties with each other and with heap events) including zeros, uniforms and
 success tables that force second-uniform draws, refill sizes down to one
-draw so refills fall inside attempts, pause/resume inside and outside a
-window, allocation changes from heap events and repeated ``run(until)``.
+draw so refills fall inside attempts, time slices down to one attempt so
+windows split across ties, zero delays, refills and pauses, pause/resume
+inside and outside a window, allocation changes from heap events and
+repeated ``run(until)``.
 Fired order (heap handlers and ``on_pair`` calls, with the clock), trace,
 digest, ``events_scheduled``, counters and every stream call must agree.
 """
@@ -530,27 +532,44 @@ SOURCE_PROGRAMS = st.tuples(
 
 @pytest.mark.parametrize("chunk", [1, 3, engine.TRACE_CHUNK])
 @settings(max_examples=200, deadline=None)
-@given(program=SOURCE_PROGRAMS, draws=st.sampled_from((1, 2, 3, 5)))
-def test_source_bank_matches_per_event_sources(chunk, program, draws):
+@given(program=SOURCE_PROGRAMS, draws=st.sampled_from((1, 2, 3, 5)),
+       slices=st.sampled_from((1, 2, 7, processes.SLICE_ATTEMPTS)))
+def test_source_bank_matches_per_event_sources(chunk, program, draws, slices):
     with mock.patch.object(engine, "TRACE_CHUNK", chunk), \
-            mock.patch.object(processes, "RNG_CHUNK", draws):
+            mock.patch.object(processes, "RNG_CHUNK", draws), \
+            mock.patch.object(processes, "SLICE_ATTEMPTS", slices):
         bank = SourceRunner(EntanglementSource)
         reference = SourceRunner(ReferenceSource)
         for got, want in zip(bank.play(program), reference.play(program)):
             assert got == want
 
 
-def test_second_uniform_carried_across_a_refill():
+def counting_slices():
+    """Patch :meth:`Window.before` to count the time slices it cuts."""
+    cuts = []
+    before = engine.Window.before
+
+    def counted(window, time):
+        cuts.append(time)
+        return before(window, time)
+
+    return cuts, mock.patch.object(engine.Window, "before", counted)
+
+
+@pytest.mark.parametrize("slices", [1, 2, 7, processes.SLICE_ATTEMPTS])
+def test_second_uniform_carried_across_a_refill(slices):
     """One draw per refill: every routed success reads its second uniform
     from a fresh buffer, and a zero delay ties an attempt with its own
-    successor."""
+    successor; with small slices the windows split there too."""
     program = (
         [([0.0, 0.25, 0.5], [0.1, 0.6, 0.3], 3, 0),
          ([0.25], [0.9, 0.1], 2, 0)],
         [([("schedule", 0.5, 0, "a", [("pause", 0)])], 1.0),
          ([("resume", 0), ("tune", 1, 4)], 2.0)],
     )
-    with mock.patch.object(processes, "RNG_CHUNK", 1):
+    cuts, counting = counting_slices()
+    with mock.patch.object(processes, "RNG_CHUNK", 1), \
+            mock.patch.object(processes, "SLICE_ATTEMPTS", slices), counting:
         bank = SourceRunner(EntanglementSource)
         reference = SourceRunner(ReferenceSource)
         states = list(zip(bank.play(program), reference.play(program)))
@@ -558,6 +577,32 @@ def test_second_uniform_carried_across_a_refill():
         assert got == want
     fired = states[-1][0][1]
     assert sum(1 for event in fired if event[1] == "pair") >= 4
+    assert bool(cuts) == (slices != processes.SLICE_ATTEMPTS)
+
+
+@pytest.mark.parametrize("slices", [2, 3])
+def test_time_slices_split_tied_attempts(slices):
+    """Slices end on the quarter-second grid, where attempts of several
+    sources, zero-delay successors and heap events all tie (each source
+    runs at β = 4, so ``slices`` attempts span a multiple of 1/4 s)."""
+    program = (
+        [([0.25, 0.0, 0.25, 0.0], [0.1, 0.6], 3, 0),
+         ([0.0, 0.25], [0.1, 0.9], 4, 0),
+         ([0.25], [0.3], 2, 1)],
+        [([("schedule", 1.0, 0, "a", [("tune", 0, 2)]),
+           ("schedule", 1.5, 1, "b", [("pause", 1)])], 2.0),
+         ([("resume", 1), ("schedule", 0.25, -1, "c", [])], 3.0)],
+    )
+    cuts, counting = counting_slices()
+    with mock.patch.object(processes, "RNG_CHUNK", 2), \
+            mock.patch.object(processes, "SLICE_ATTEMPTS", slices), counting:
+        bank = SourceRunner(EntanglementSource)
+        reference = SourceRunner(ReferenceSource)
+        for got, want in zip(bank.play(program), reference.play(program)):
+            assert got == want
+    assert len(cuts) > 10
+    # some slice ends where an attempt falls: it fires in the next slice
+    assert any(time % 0.25 == 0 for time in cuts)
 
 
 def test_bank_matches_per_event_sources_on_the_paper_network():

@@ -171,6 +171,16 @@ class TestEntanglementSource:
         expected_pairs = link.beta * (1 - allocation.w[0]) * duration
         assert source.pairs_generated == pytest.approx(expected_pairs, rel=0.25)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_rate_that_is_not_positive_and_finite(
+        self, config, allocation, beta
+    ):
+        """A NaN rate draws NaN delays and an infinite one zero delays,
+        which would fire attempts at one instant forever."""
+        state = AllocationState(config.network, allocation.phi, allocation.w)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            EntanglementSource(0, beta, state, RouteBuffers(state))
+
 
 class TestDemandProcess:
     def test_demand_drains_at_configured_rate(self):
