@@ -42,19 +42,38 @@ Quick start::
     print(result.render())
 """
 
-from repro.sim.engine import Entity, Event, Process, RngStreams, Simulator
-from repro.sim.qnetwork import (
-    QuantumNetworkSimulation,
-    SimParams,
-    run_adaptive_study,
-)
-from repro.sim.result import (
-    AdaptiveSimStudy,
-    RoutingCompareStudy,
-    SimulationResult,
-)
-from repro.sim.routing import RouteController
-from repro.sim.topology import Topology, config_for_topology, make_topology
+from importlib import import_module
+
+#: The submodule each public name lives in.  A name is imported on first
+#: use (PEP 562), so importing one submodule -- the codec registry needs
+#: only ``repro.sim.result``, a topology sweep only ``routing`` and
+#: ``topology`` -- does not load the simulator.
+_HOMES = {
+    "Entity": "engine",
+    "Event": "engine",
+    "Process": "engine",
+    "RngStreams": "engine",
+    "Simulator": "engine",
+    "QuantumNetworkSimulation": "qnetwork",
+    "SimParams": "qnetwork",
+    "run_adaptive_study": "qnetwork",
+    "AdaptiveSimStudy": "result",
+    "RoutingCompareStudy": "result",
+    "SimulationResult": "result",
+    "RouteController": "routing",
+    "Topology": "topology",
+    "config_for_topology": "topology",
+    "make_topology": "topology",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value
+
 
 __all__ = [
     "AdaptiveSimStudy",

@@ -31,13 +31,13 @@ A heap entry is the tuple ``(time, priority, seq, event)``.  ``seq`` is
 unique, so :mod:`heapq` orders entries in C on exactly the key above and
 never compares two :class:`Event` objects.  A :class:`Process` re-arms
 through the same push as :meth:`Simulator.schedule`, reusing one
-:class:`Event` per process for all of its step events.  Events too many
-for one heap entry each live in a :class:`Bank` (the entanglement sources'
-:class:`repro.sim.processes.SourceBank`): before each pop the run loop hands
-it a :class:`Window`, and the bank fires, in one vectorized block, every
-event of its chains ordered before the heap's next entry; the simulator
-orders, sequences, counts and traces the block (:meth:`Simulator.fire_block`)
-as the heap would have.  The trace is
+:class:`Event` per process for all of its step events.  Processes too
+numerous and too frequent for a heap entry per step live in a :class:`Bank`
+(the entanglement sources' :class:`repro.sim.processes.SourceBank`): before
+each pop the run loop hands it a :class:`Window`, and the bank fires, in one
+vectorized block, every event of its chains ordered before the heap's next
+entry; the simulator orders, sequences, counts and traces the block
+(:meth:`Simulator.fire_block`) as the heap would have.  The trace is
 kept in chunks of ``TRACE_CHUNK`` events: the open chunk holds times in an
 ``array('d')`` and tags as integer codes into the simulator's tag table;
 when it fills, it is folded into the digest and stored.  SHA-256 is

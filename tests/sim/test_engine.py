@@ -2,8 +2,12 @@
 
 import gc
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +363,35 @@ class TestRelease:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestPackageImports:
+    def test_a_submodule_loads_without_the_simulator(self):
+        """The codec registry imports ``repro.sim.result`` and a topology
+        sweep ``routing`` and ``topology``; neither compiles the kernel."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys\n"
+            "import repro.sim.result, repro.sim.routing, repro.sim.topology\n"
+            "print(sorted(m for m in ('repro.sim.engine', 'repro.sim.processes',"
+            " 'repro.sim.qnetwork') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True, capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_package_names_resolve_to_their_submodules(self):
+        import repro.sim
+        from repro.sim import qnetwork, result, routing, topology
+
+        homes = {"engine": engine, "qnetwork": qnetwork, "result": result,
+                 "routing": routing, "topology": topology}
+        for name in repro.sim.__all__:
+            assert getattr(repro.sim, name) is getattr(
+                homes[repro.sim._HOMES[name]], name)
+        assert sorted(repro.sim.__all__) == sorted(repro.sim._HOMES)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.sim.nope
