@@ -14,6 +14,9 @@ Layers (see ``docs/simulation.md``):
 * :mod:`repro.sim.processes` — quantum-network processes: per-link
   entanglement sources (β_l / Werner models), swapping into per-route key
   buffers, transciphering demand, disruptions, fading, adaptation hooks;
+* :mod:`repro.sim.bank` — the entanglement sources' bank, firing every
+  source's attempts between two heap events in one NumPy pass (imported
+  by the first source a simulation starts);
 * :mod:`repro.sim.qnetwork` — the orchestrator binding a
   :class:`~repro.core.config.SystemConfig` + solver allocation to the
   process layer, including mid-simulation ``SolverService`` re-invocation;

@@ -33,7 +33,7 @@ never compares two :class:`Event` objects.  A :class:`Process` re-arms
 through the same push as :meth:`Simulator.schedule`, reusing one
 :class:`Event` per process for all of its step events.  Processes too
 numerous and too frequent for a heap entry per step live in a :class:`Bank`
-(the entanglement sources' :class:`repro.sim.processes.SourceBank`): before
+(the entanglement sources' :class:`repro.sim.bank.SourceBank`): before
 each pop the run loop hands it a :class:`Window`, and the bank fires, in one
 vectorized block, every event of its chains ordered before the heap's next
 entry; the simulator orders, sequences, counts and traces the block

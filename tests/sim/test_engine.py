@@ -367,21 +367,29 @@ class TestRelease:
 
 class TestPackageImports:
     def test_a_submodule_loads_without_the_simulator(self):
-        """The codec registry imports ``repro.sim.result`` and a topology
-        sweep ``routing`` and ``topology``; neither compiles the kernel."""
+        """A topology sweep imports ``routing`` and ``topology`` and does
+        not compile the kernel; the codec registry loads the processes but
+        not the bank, which the first source a simulation starts imports."""
         src = Path(__file__).resolve().parents[2] / "src"
         script = (
             "import sys\n"
-            "import repro.sim.result, repro.sim.routing, repro.sim.topology\n"
-            "print(sorted(m for m in ('repro.sim.engine', 'repro.sim.processes',"
-            " 'repro.sim.qnetwork') if m in sys.modules))"
+            "def loaded():\n"
+            "    return [m for m in ('repro.sim.engine', 'repro.sim.processes',"
+            " 'repro.sim.qnetwork', 'repro.sim.bank') if m in sys.modules]\n"
+            "import repro.sim.routing, repro.sim.topology\n"
+            "print(loaded())\n"
+            "import repro.io\n"
+            "repro.io.registered_kinds()\n"
+            "print(loaded())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
             env=dict(os.environ, PYTHONPATH=str(src)),
             check=True, capture_output=True, text=True,
         ).stdout
-        assert out.strip() == "[]"
+        assert out.splitlines() == [
+            "[]", "['repro.sim.engine', 'repro.sim.processes', 'repro.sim.qnetwork']"
+        ]
 
     def test_package_names_resolve_to_their_submodules(self):
         import repro.sim

@@ -12,7 +12,7 @@ Fired order, trace, digest, clock and counters must agree after every run.
 The property runs with the trace chunk size patched to 1 and 3 as well as
 the default, so chunks fill both mid-run and between runs.
 
-The second half checks :class:`~repro.sim.processes.SourceBank` against
+The second half checks :class:`~repro.sim.bank.SourceBank` against
 :class:`ReferenceSource`, the per-event entanglement source it replaced
 (one heap event per attempt, ``step`` then re-arm), on the same kernel.
 Sources draw from scripted streams: delays on the quarter-second grid
@@ -34,7 +34,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import engine, processes
+from repro.sim import bank as sourcebank
+from repro.sim import engine
 from repro.sim.engine import Process, Simulator
 from repro.sim.processes import PRIORITY_PHYSICS, EntanglementSource
 
@@ -339,7 +340,7 @@ class ReferenceSource(Process):
     def _next_interarrival(self):
         if self._delay_next >= len(self._delays):
             self._delays = self._rng.exponential(
-                1.0 / self.beta, size=processes.RNG_CHUNK
+                1.0 / self.beta, size=sourcebank.RNG_CHUNK
             )
             self._delay_next = 0
         value = self._delays[self._delay_next]
@@ -348,7 +349,7 @@ class ReferenceSource(Process):
 
     def _next_uniform(self):
         if self._uniform_next >= len(self._uniforms):
-            self._uniforms = self._rng.random(size=processes.RNG_CHUNK)
+            self._uniforms = self._rng.random(size=sourcebank.RNG_CHUNK)
             self._uniform_next = 0
         value = self._uniforms[self._uniform_next]
         self._uniform_next += 1
@@ -533,11 +534,11 @@ SOURCE_PROGRAMS = st.tuples(
 @pytest.mark.parametrize("chunk", [1, 3, engine.TRACE_CHUNK])
 @settings(max_examples=200, deadline=None)
 @given(program=SOURCE_PROGRAMS, draws=st.sampled_from((1, 2, 3, 5)),
-       slices=st.sampled_from((1, 2, 7, processes.SLICE_ATTEMPTS)))
+       slices=st.sampled_from((1, 2, 7, sourcebank.SLICE_ATTEMPTS)))
 def test_source_bank_matches_per_event_sources(chunk, program, draws, slices):
     with mock.patch.object(engine, "TRACE_CHUNK", chunk), \
-            mock.patch.object(processes, "RNG_CHUNK", draws), \
-            mock.patch.object(processes, "SLICE_ATTEMPTS", slices):
+            mock.patch.object(sourcebank, "RNG_CHUNK", draws), \
+            mock.patch.object(sourcebank, "SLICE_ATTEMPTS", slices):
         bank = SourceRunner(EntanglementSource)
         reference = SourceRunner(ReferenceSource)
         for got, want in zip(bank.play(program), reference.play(program)):
@@ -556,7 +557,7 @@ def counting_slices():
     return cuts, mock.patch.object(engine.Window, "before", counted)
 
 
-@pytest.mark.parametrize("slices", [1, 2, 7, processes.SLICE_ATTEMPTS])
+@pytest.mark.parametrize("slices", [1, 2, 7, sourcebank.SLICE_ATTEMPTS])
 def test_second_uniform_carried_across_a_refill(slices):
     """One draw per refill: every routed success reads its second uniform
     from a fresh buffer, and a zero delay ties an attempt with its own
@@ -568,8 +569,8 @@ def test_second_uniform_carried_across_a_refill(slices):
          ([("resume", 0), ("tune", 1, 4)], 2.0)],
     )
     cuts, counting = counting_slices()
-    with mock.patch.object(processes, "RNG_CHUNK", 1), \
-            mock.patch.object(processes, "SLICE_ATTEMPTS", slices), counting:
+    with mock.patch.object(sourcebank, "RNG_CHUNK", 1), \
+            mock.patch.object(sourcebank, "SLICE_ATTEMPTS", slices), counting:
         bank = SourceRunner(EntanglementSource)
         reference = SourceRunner(ReferenceSource)
         states = list(zip(bank.play(program), reference.play(program)))
@@ -577,7 +578,7 @@ def test_second_uniform_carried_across_a_refill(slices):
         assert got == want
     fired = states[-1][0][1]
     assert sum(1 for event in fired if event[1] == "pair") >= 4
-    assert bool(cuts) == (slices != processes.SLICE_ATTEMPTS)
+    assert bool(cuts) == (slices != sourcebank.SLICE_ATTEMPTS)
 
 
 @pytest.mark.parametrize("slices", [2, 3])
@@ -594,8 +595,8 @@ def test_time_slices_split_tied_attempts(slices):
          ([("resume", 1), ("schedule", 0.25, -1, "c", [])], 3.0)],
     )
     cuts, counting = counting_slices()
-    with mock.patch.object(processes, "RNG_CHUNK", 2), \
-            mock.patch.object(processes, "SLICE_ATTEMPTS", slices), counting:
+    with mock.patch.object(sourcebank, "RNG_CHUNK", 2), \
+            mock.patch.object(sourcebank, "SLICE_ATTEMPTS", slices), counting:
         bank = SourceRunner(EntanglementSource)
         reference = SourceRunner(ReferenceSource)
         for got, want in zip(bank.play(program), reference.play(program)):
