@@ -78,20 +78,4 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "AdaptiveSimStudy",
-    "Entity",
-    "Event",
-    "Process",
-    "QuantumNetworkSimulation",
-    "RngStreams",
-    "RouteController",
-    "RoutingCompareStudy",
-    "SimParams",
-    "SimulationResult",
-    "Simulator",
-    "Topology",
-    "config_for_topology",
-    "make_topology",
-    "run_adaptive_study",
-]
+__all__ = sorted(_HOMES)
