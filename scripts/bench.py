@@ -416,7 +416,7 @@ def bench_routed_sim(topo, controller, config, duration: float,
 
 def campaign_suite(quick: bool):
     """A 2-axis × 8-seed ``sim-keyrate`` campaign through CampaignRunner
-    (canonical batched baseline prefetch + shared service cache + artifact
+    (one batched baseline solve per chunk + shared service cache + artifact
     persistence) against the *naive* baseline — one isolated scenario run
     per cell, each with a fresh SolverService, exactly what N separate
     ``repro run sim-keyrate`` invocations would cost — and the resume fast
@@ -606,10 +606,9 @@ def bench_availability(
 ) -> BenchResult:
     """Supervised workers under a crash storm, driven by retrying clients.
 
-    ``distinct=1, coalesce=False, use_cache=False`` keeps every batch's
-    composition fixed (one config) while forcing every request through the
-    worker pool — the configuration that maximises ``serve.worker`` seam
-    hits per second.  ``after=1`` makes each respawned worker's first batch
+    ``distinct=1, coalesce=False, use_cache=False`` forces every request
+    through the worker pool — the configuration that maximises
+    ``serve.worker`` seam hits per second.  ``after=1`` makes each respawned worker's first batch
     safe, so recovery is always possible and the availability floor
     measures the supervisor, not fault-plan luck.  ``fault_seed=3`` fires
     the crash on a fresh worker's second batch, so the storm fires on a

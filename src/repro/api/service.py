@@ -272,14 +272,13 @@ class SolverService:
     def prime(self, config: SystemConfig, result: QuHEResult) -> str:
         """Install ``result`` as the cached solve of ``config``.
 
-        The campaign runner solves its cells' baseline configurations in
-        *canonical batches* (fixed composition derived from the campaign
-        manifest, independent of cache state) so a resumed campaign
-        reproduces an uninterrupted run bit for bit; ``prime`` then makes
-        those canonical results the ones every subsequent
-        :meth:`solve` of the same configuration returns.  Overwrites any
-        existing entry and counts as neither hit nor miss.  Returns the
-        fingerprint under which the result was cached.
+        The campaign runner solves a chunk's baseline configurations in
+        one ``solve_many(..., use_cache=False)`` call, so no entry an
+        earlier run left in the shared service can reach a campaign
+        result; ``prime`` then makes those results the ones every
+        subsequent :meth:`solve` of the same configuration returns.
+        Overwrites any existing entry and counts as neither hit nor miss.
+        Returns the fingerprint under which the result was cached.
 
         Raises :class:`FingerprintError` for unfingerprintable configs
         (nothing can be primed for a config the cache cannot key).

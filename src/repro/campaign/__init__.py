@@ -2,8 +2,8 @@
 
 A campaign expands a declarative :class:`~repro.campaign.spec.CampaignSpec`
 (scenario × parameter grid × seed replications) into a cell manifest,
-executes it through the scenario layer with canonical batched baseline
-solves, persists every cell under the PR-2 artifact layout, and folds the
+executes it through the scenario layer with one batched baseline solve
+per chunk, persists every cell as a run-record artifact, and folds the
 results into per-grid-point streaming statistics with 95% confidence
 intervals (:class:`~repro.campaign.result.CampaignResult`).
 

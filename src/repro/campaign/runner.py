@@ -3,23 +3,22 @@
 The runner turns a :class:`~repro.campaign.spec.CampaignSpec` into work:
 
 * the cell manifest is split into fixed-size **chunks** (manifest order);
-* before a chunk's cells run, the baseline configurations they need are
-  solved as a **canonical batch** through
-  :meth:`~repro.api.service.SolverService.solve_many` and installed into
-  the service cache with :meth:`~repro.api.service.SolverService.prime` —
-  one vectorized solve per chunk instead of one cold scalar solve per
-  cell (the campaign-vs-naive speedup in ``BENCH_campaign.json``);
+* before a chunk's pending cells run, the baseline configurations they
+  need and this run has not solved yet are solved in one
+  :meth:`~repro.api.service.SolverService.solve_many` call and installed
+  into the service cache with
+  :meth:`~repro.api.service.SolverService.prime` — one vectorized solve
+  per chunk instead of one cold scalar solve per cell (the
+  campaign-vs-naive speedup in ``BENCH_campaign.json``);
 * each cell is a normal scenario execution recorded as a
   :class:`~repro.api.artifacts.RunRecord` under a **stable** cell id, so a
   killed campaign resumes by skipping every cell whose artifact already
   exists and re-running the rest.
 
-Canonical batches make resume *byte-exact*: each baseline configuration is
-assigned to the first chunk in which it appears and is always solved
-inside that chunk's batch, with cache reads disabled — so its
-floating-point result never depends on which cells were already complete,
-and the aggregates of a resumed campaign equal an uninterrupted run's bit
-for bit.
+Resume is *byte-exact*: a configuration solves bitwise alike alone and in
+any batch, and aggregation folds cells in manifest order, so the
+aggregates of a resumed campaign equal an uninterrupted run's bit for bit,
+whatever the chunk size.
 
 Artifact layout (``out_dir``)::
 
@@ -29,8 +28,6 @@ Artifact layout (``out_dir``)::
         result.json          # bare repro.io payload
     cells_failed/<cell_id>/
         error.json           # exception chain of a quarantined cell
-    canonical/
-        chunk_NNNNN.json     # canonical-batch results of chunk NNNNN
     aggregate.json           # campaign_result payload (rewritten per run)
 
 Failure semantics (``docs/robustness.md``): every cell gets
@@ -59,12 +56,7 @@ from repro.campaign.spec import (
     Cell,
     load_spec,
 )
-from repro.io import (
-    atomic_write_bytes,
-    atomic_write_text,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.io import atomic_write_text, result_to_dict
 from repro.utils.retry import RetryPolicy, retry_call
 
 PathLike = Union[str, Path]
@@ -81,8 +73,6 @@ __all__ = [
 MANIFEST_FILENAME = "campaign.json"
 AGGREGATE_FILENAME = "aggregate.json"
 CELLS_DIRNAME = "cells"
-#: Canonical-batch results (one JSON array of quhe_result payloads per chunk).
-CANONICAL_DIRNAME = "canonical"
 FAILED_DIRNAME = "cells_failed"
 ERROR_FILENAME = "error.json"
 
@@ -91,8 +81,8 @@ ERROR_FILENAME = "error.json"
 _SAVE_RETRY = dict(max_attempts=3, base_s=0.01, cap_s=0.05)
 
 #: Scenarios whose baseline configuration is ``paper_config(seed=seed)``:
-#: their cells' solves can be prefetched as one canonical batch.  Other
-#: scenarios run unprefetched (still chunked, persisted and resumable).
+#: their cells' solves are primed in one batch per chunk.  Other scenarios
+#: run unprimed (still chunked, persisted and resumable).
 _CONFIG_BY_SEED = ("solve", "sim-keyrate", "sim-outage", "sim-adaptive")
 
 #: ``progress(done_cells, total_cells)`` as cell results become available.
@@ -180,9 +170,7 @@ class CampaignRunner:
         out_dir: Optional[PathLike] = None,
     ) -> None:
         # The cells' run functions solve through the shared scenario-layer
-        # service, so that is the cache canonical batches must prime.
-        # (Canonical solves run with use_cache=False, so whatever state the
-        # shared service already holds cannot leak into campaign results.)
+        # service, so that is the cache the baselines are primed into.
         from repro.api.scenarios import SERVICE as service  # noqa: N811
 
         if service.cache_size < spec.chunk_size:
@@ -196,125 +184,43 @@ class CampaignRunner:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.chunks: List[List[Cell]] = spec.chunks()
         self.manifest: List[Cell] = [c for chunk in self.chunks for c in chunk]
-        # Canonical batch assignment: every distinct baseline fingerprint
-        # belongs to the first chunk in which it appears; that chunk's
-        # batch always solves it, whatever is already cached or complete.
-        # Built lazily — status-only runners never fingerprint anything.
-        self._configs: Dict[str, Any] = {}
-        self._chunk_batches: List[List[str]] = [[] for _ in self.chunks]
-        self._cell_fingerprint: Dict[int, Optional[str]] = {}
-        self._fingerprint_chunk: Dict[str, int] = {}
-        self._canonical_assigned = False
-        #: canonical baseline results, keyed by fingerprint — kept by the
-        #: runner itself so LRU eviction in the shared service cache can
-        #: never silently replace a canonical result with a cold re-solve
-        self._canonical_results: Dict[str, Any] = {}
-        self._solved_chunks: set = set()
+        #: baseline results solved this run, keyed by config fingerprint
+        self._baselines: Dict[str, Any] = {}
         #: in-memory results of cells executed (or loaded) this run
         self._results: Dict[int, Any] = {}
         #: cells quarantined this run (index -> final exception), for
         #: in-memory campaigns (``out_dir=None``) where no error.json exists
         self._failed: Dict[int, BaseException] = {}
 
-    # -- canonical batches ----------------------------------------------------
+    # -- baselines ------------------------------------------------------------
 
-    def _assign_canonical_batches(self) -> None:
-        from repro.api.service import FingerprintError, config_fingerprint
+    def _prime_baselines(self, cells: List[Cell]) -> None:
+        """Prime the shared service with the baseline solves of ``cells``.
 
-        if self._canonical_assigned:
-            return
-        self._canonical_assigned = True
-        for chunk_index, chunk in enumerate(self.chunks):
-            for cell in chunk:
-                config = _baseline_config(cell.scenario, cell.params)
-                if config is None:
-                    self._cell_fingerprint[cell.index] = None
-                    continue
-                try:
-                    fingerprint = config_fingerprint(config)
-                except FingerprintError:
-                    self._cell_fingerprint[cell.index] = None
-                    continue
-                self._cell_fingerprint[cell.index] = fingerprint
-                if fingerprint not in self._fingerprint_chunk:
-                    self._fingerprint_chunk[fingerprint] = chunk_index
-                    self._chunk_batches[chunk_index].append(fingerprint)
-                    self._configs[fingerprint] = config
-
-    def _prefetch_for_chunk(self, chunk_index: int) -> None:
-        """Solve every canonical batch the chunk's cells depend on.
-
-        Dependencies are the owning chunks of the cells' baseline
-        fingerprints; batches are solved in chunk order with the service
-        cache *disabled* (composition and results depend only on the
-        manifest) and the results kept on the runner.  Only the
-        fingerprints *this* chunk's cells actually use — at most
-        ``chunk_size``, which the constructor guarantees fits the service
-        cache — are then primed, so LRU eviction can never silently swap a
-        canonical result for a cold re-solve.
+        Baselines not yet solved this run are solved in one
+        ``solve_many`` call with the cache disabled, because the shared
+        service may hold an entry from an earlier run in this process (a
+        degraded result under a fault plan, say).  The results stay in
+        :attr:`_baselines`, so LRU eviction in the shared cache never
+        swaps one for a re-solve.  A config solves bitwise alike in any
+        batch, so neither the chunk size nor which cells a resume left
+        pending changes a result's bits.
         """
-        self._assign_canonical_batches()
-        chunk_fingerprints = {
-            self._cell_fingerprint[cell.index]
-            for cell in self.chunks[chunk_index]
-        } - {None}
-        needed = {chunk_index}
-        needed.update(
-            self._fingerprint_chunk[fp] for fp in chunk_fingerprints
-        )
-        for index in sorted(needed):
-            if index in self._solved_chunks:
-                continue
-            self._solved_chunks.add(index)
-            batch = self._chunk_batches[index]
-            if not batch:
-                continue
-            configs = [self._configs[fp] for fp in batch]
-            results = self._solve_canonical_batch(index, configs)
-            for fp, result in zip(batch, results):
-                self._canonical_results[fp] = result
-        for fp in sorted(chunk_fingerprints):
-            self.service.prime(self._configs[fp], self._canonical_results[fp])
+        from repro.api.service import config_fingerprint
 
-    def _solve_canonical_batch(
-        self, index: int, configs: List[Any]
-    ) -> List[Any]:
-        """Solve one canonical chunk batch, kept as a JSON chunk file.
-
-        The results persist under ``out_dir/canonical/`` as one JSON array
-        of ``quhe_result`` payloads; a resumed run decodes them instead of
-        re-solving, and the decoded results carry the exact floats of the
-        original solve (byte-identical records).  An unreadable chunk is
-        ignored and re-solved, and so is one whose payloads decode to
-        anything but ``quhe_result`` objects.  Neither the read nor the
-        write passes a fault seam: whether the file exists differs between
-        a resumed run and an uninterrupted one, so drawing from a seam here
-        would shift every later fault decision.
-        """
-        from repro.core.quhe import QuHEResult
-
-        path: Optional[Path] = None
-        if self.out_dir is not None:
-            path = (
-                self.out_dir / CANONICAL_DIRNAME / f"chunk_{index:05d}.json"
+        configs: Dict[str, Any] = {}
+        for cell in cells:
+            config = _baseline_config(cell.scenario, cell.params)
+            if config is not None:
+                configs[config_fingerprint(config)] = config
+        unsolved = [fp for fp in configs if fp not in self._baselines]
+        if unsolved:
+            results = self.service.solve_many(
+                [configs[fp] for fp in unsolved], use_cache=False
             )
-            try:
-                payloads = json.loads(path.read_text())
-                if len(payloads) == len(configs):
-                    results = [result_from_dict(p) for p in payloads]
-                    if all(isinstance(r, QuHEResult) for r in results):
-                        return results
-            except (OSError, TypeError, ValueError):
-                pass  # absent, torn or not a chunk: solve it again
-        results = self.service.solve_many(configs, use_cache=False)
-        if path is not None:
-            text = json.dumps([result_to_dict(r) for r in results])
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_bytes(path, text.encode(), fault_seam=None)
-            except OSError:
-                pass  # the chunk file is best-effort; the solve succeeded
-        return results
+            self._baselines.update(zip(unsolved, results))
+        for fp, config in configs.items():
+            self.service.prime(config, self._baselines[fp])
 
     # -- persistence ----------------------------------------------------------
 
@@ -520,7 +426,7 @@ class CampaignRunner:
         executed = 0
         total = len(self.manifest)
         done = 0
-        for chunk_index, chunk in enumerate(self.chunks):
+        for chunk in self.chunks:
             pending = []
             for cell in chunk:
                 cached = self._results.get(cell.index)
@@ -533,11 +439,11 @@ class CampaignRunner:
                         progress(done, total)
                 else:
                     pending.append(cell)
-            if pending and (max_cells is None or executed < max_cells):
-                self._prefetch_for_chunk(chunk_index)
+            if max_cells is not None:
+                pending = pending[:max(0, max_cells - executed)]
+            if pending:
+                self._prime_baselines(pending)
             for cell in pending:
-                if max_cells is not None and executed >= max_cells:
-                    break
                 record, failure = self._attempt_cell(cell)
                 executed += 1
                 if record is None:

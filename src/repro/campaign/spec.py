@@ -34,7 +34,7 @@ PathLike = Union[str, Path]
 __all__ = ["CampaignSpec", "Cell", "demo_spec", "load_spec"]
 
 #: Default number of cells per execution chunk (see runner: one chunk is
-#: one canonical prefetch batch + its serial cell runs).
+#: one batched baseline solve + its serial cell runs).
 DEFAULT_CHUNK_SIZE = 16
 
 #: Keys older specs carry that no longer select anything (``backend`` chose
@@ -83,7 +83,8 @@ class CampaignSpec:
     axes: Dict[str, List[Any]] = field(default_factory=dict)
     #: replication seeds (one cell per grid point per seed)
     seeds: Tuple[int, ...] = (0, 1, 2, 3)
-    #: cells per execution chunk (canonical prefetch granularity)
+    #: cells per execution chunk (baseline-solve granularity; results do
+    #: not depend on it)
     chunk_size: int = DEFAULT_CHUNK_SIZE
     #: restrict aggregation to these metrics (empty = every scalar metric)
     metrics: Tuple[str, ...] = ()

@@ -266,24 +266,30 @@ def _serve_main(args) -> int:
         loop = asyncio.get_running_loop()
         drain_tasks = []
 
-        def _on_sigterm() -> None:
+        def _on_signal() -> None:
             # Graceful drain: stop accepting, flush in-flight requests into
             # the cache and their responses, then exit 0.
             drain_tasks.append(asyncio.ensure_future(server.drain()))
 
+        # SIGINT is routed here too, not left to KeyboardInterrupt: Python
+        # installs no KeyboardInterrupt when the process inherits SIGINT as
+        # ignored (a background job of a non-interactive shell).
+        signals = (signal.SIGINT, signal.SIGTERM)
         try:
-            loop.add_signal_handler(signal.SIGTERM, _on_sigterm)
+            for signum in signals:
+                loop.add_signal_handler(signum, _on_signal)
         except (NotImplementedError, RuntimeError):
-            pass  # non-unix event loop: SIGTERM stays the default (kill)
+            pass  # non-unix event loop: the signals keep their defaults
         try:
             await server.serve_forever()
-            # A drain (SIGTERM or the `drain` wire op) closed the listener;
+            # A drain (a signal or the `drain` wire op) closed the listener;
             # wait for it to finish flushing before returning cleanly.
             await server.wait_terminated()
             print("repro serve: drained, shut down", file=sys.stderr)
         finally:
-            with contextlib.suppress(ValueError, RuntimeError):
-                loop.remove_signal_handler(signal.SIGTERM)
+            for signum in signals:
+                with contextlib.suppress(ValueError, RuntimeError):
+                    loop.remove_signal_handler(signum)
             await server.stop()
             if drain_tasks:
                 await asyncio.gather(*drain_tasks, return_exceptions=True)

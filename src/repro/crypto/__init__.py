@@ -43,9 +43,8 @@ interchangeable backends:
 Both backends are bit-for-bit equivalent on every ring operation (property
 tested in ``tests/crypto/test_rns_ntt.py``).  :class:`CKKSContext` and
 :class:`BFVContext` pick the fast backend automatically; pass
-``backend="reference"`` to an individual context, or set the environment
-variable ``QUHE_CRYPTO_BACKEND=reference``, to force the big-int ring
-(e.g. for A/B benchmarking or debugging).  Rings, NTT twiddle tables and
+``backend="reference"`` to a context to force the big-int ring (e.g. for
+A/B benchmarking or debugging).  Rings, NTT twiddle tables and
 CRT constants are cached per (degree, modulus-chain), so repeated context
 construction and cross-level operations do not rebuild them.
 """

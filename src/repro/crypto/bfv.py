@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.crypto.ntt import find_prime_chain
 from repro.crypto.poly import PolyRing, divide_round_half_away
-from repro.crypto.rns import get_ring, reference_backend_forced
+from repro.crypto.rns import get_ring
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -82,12 +82,7 @@ class BFVContext:
                 raise
         if self.chain_primes is not None:
             self.q = prod(self.chain_primes)
-            # Explicit backend="rns" is a hard requirement (matching
-            # get_ring); the env-var override only steers "auto".
-            use_rns = backend == "rns" or (
-                backend == "auto" and not reference_backend_forced()
-            )
-            self.backend = "rns" if use_rns else "reference"
+            self.backend = "reference" if backend == "reference" else "rns"
             self.ring = get_ring(
                 ring_degree, primes=self.chain_primes, backend=self.backend
             )

@@ -46,7 +46,7 @@ import numpy as np
 from repro.crypto.encoding import CKKSEncoder
 from repro.crypto.ntt import find_ntt_primes, find_prime_chain
 from repro.crypto.poly import PolyRingBase
-from repro.crypto.rns import get_ring, reference_backend_forced
+from repro.crypto.rns import get_ring
 from repro.utils.rng import SeedLike, as_generator
 
 #: Relative scale difference below which two ciphertexts may *multiply*.
@@ -136,12 +136,7 @@ class CKKSContext:
                 for level in range(depth + 1)
             ]
             self.aux_modulus = prod(self.aux_primes)
-            # Explicit backend="rns" is a hard requirement (matching
-            # get_ring); the env-var override only steers "auto".
-            use_rns = backend == "rns" or (
-                backend == "auto" and not reference_backend_forced()
-            )
-            self.backend = "rns" if use_rns else "reference"
+            self.backend = "reference" if backend == "reference" else "rns"
         else:
             # Fallback: the historical power-of-two chain; the big-int ring
             # is the only exact option for non-NTT-friendly moduli.

@@ -53,14 +53,13 @@ Backend selection
 -----------------
 :func:`get_ring` returns a cached ring for a (degree, modulus) pair:
 an :class:`RNSPolyRing` when the modulus is presented as a chain of
-NTT-friendly primes, the reference big-int ring otherwise.  Setting the
-environment variable ``QUHE_CRYPTO_BACKEND=reference`` forces the reference
-ring everywhere (see ``repro/crypto/__init__.py`` § Performance).
+NTT-friendly primes, the reference big-int ring otherwise; pass
+``backend="reference"`` to force the big-int ring (see
+``repro/crypto/__init__.py`` § Performance).
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from math import prod
 from typing import Iterable, List, Sequence, Tuple
@@ -87,9 +86,6 @@ from repro.crypto.poly import (
     fold_negacyclic,
 )
 from repro.utils.rng import SeedLike
-
-#: Environment variable forcing the reference big-int backend everywhere.
-BACKEND_ENV_VAR = "QUHE_CRYPTO_BACKEND"
 
 
 class _BatchedNTT:
@@ -452,11 +448,6 @@ def _rns_ring(degree: int, primes: Tuple[int, ...]) -> RNSPolyRing:
     return RNSPolyRing(degree, primes)
 
 
-def reference_backend_forced() -> bool:
-    """True when ``QUHE_CRYPTO_BACKEND=reference`` disables the RNS ring."""
-    return os.environ.get(BACKEND_ENV_VAR, "").lower() == "reference"
-
-
 def get_ring(
     degree: int,
     modulus: int | None = None,
@@ -477,10 +468,8 @@ def get_ring(
         for ``degree``), the RNS backend is eligible.
     backend:
         ``"auto"`` (RNS when primes are available, reference otherwise),
-        ``"rns"`` (require the fast backend), or ``"reference"``.
-
-    The ``QUHE_CRYPTO_BACKEND=reference`` environment variable overrides
-    ``"auto"`` — useful for A/B-ing performance or debugging the fast path.
+        ``"rns"`` (require the fast backend), or ``"reference"`` (the
+        big-int ring, for A/B-ing performance or debugging the fast path).
     """
     primes = tuple(int(p) for p in primes) if primes is not None else None
     if primes is not None:
@@ -504,6 +493,6 @@ def get_ring(
                 f"{degree}, got {primes}"
             )
         return _rns_ring(degree, primes)
-    if backend == "auto" and rns_ok and not reference_backend_forced():
+    if backend == "auto" and rns_ok:
         return _rns_ring(degree, primes)
     return _reference_ring(degree, modulus)

@@ -2,9 +2,8 @@
 
 A downstream user wants to solve once, persist the result, and replay or
 audit it later; the experiment harness wants machine-readable outputs next
-to the printed tables.  Formats are plain JSON with explicit versioning;
-the campaign runner's canonical chunk files, too, are JSON arrays of
-``quhe_result`` payloads.
+to the printed tables.  Formats are plain JSON with explicit versioning,
+written durably by :func:`atomic_write_text`.
 
 Two layers:
 
@@ -51,35 +50,22 @@ PathLike = Union[str, Path]
 
 
 def atomic_write_text(path: PathLike, text: str) -> Path:
-    """Durably write ``text`` to ``path`` as UTF-8 (see :func:`atomic_write_bytes`)."""
-    return atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def atomic_write_bytes(
-    path: PathLike, data: bytes, *, fault_seam: str | None = "artifact.write"
-) -> Path:
-    """Durably write ``data`` to ``path``: tmp + flush + fsync + ``os.replace``.
+    """Durably write ``text`` to ``path`` as UTF-8: tmp, fsync, ``os.replace``.
 
     The temp file lives in the target's directory so the final rename is a
     same-filesystem atomic replace — a reader never observes a partial file,
     and a crash mid-write leaves the previous content (or nothing) intact.
 
-    This is also the ``artifact.write`` fault seam: under an active
-    :mod:`repro.faults` plan a ``torn_write``/``truncate`` rule deliberately
-    leaves a corrupt file at ``path`` (bypassing the atomic dance, the way a
-    legacy non-atomic writer would after a crash) and raises
-    :class:`~repro.errors.TransientIOError` so hardened callers retry.
-
-    ``fault_seam=None`` opts the write out of fault injection *and* of the
-    seam's deterministic RNG stream.  Rebuildable caches (the campaign's
-    canonical JSON chunks) need this: whether such a file is written or
-    loaded may differ between a resumed and an uninterrupted run, and an
-    optional write that consumed a draw would phase-shift every later
-    ``artifact.write`` decision — breaking the resume byte-identity
-    contract for runs under an active fault plan.
+    Every durable write passes the ``artifact.write`` fault seam: under an
+    active :mod:`repro.faults` plan a ``torn_write``/``truncate`` rule
+    deliberately leaves a corrupt file at ``path`` (bypassing the atomic
+    dance, the way a legacy non-atomic writer would after a crash) and
+    raises :class:`~repro.errors.TransientIOError` so hardened callers
+    retry.
     """
     target = Path(path)
-    rule = _faults.fire(fault_seam) if fault_seam is not None else None
+    data = text.encode("utf-8")
+    rule = _faults.fire("artifact.write")
     if rule is not None and rule.kind in ("torn_write", "truncate"):
         torn = b"" if rule.kind == "truncate" else data[: max(1, len(data) // 2)]
         target.write_bytes(torn)

@@ -18,6 +18,12 @@ import numpy as np
 F_SKF_ZERO_CROSSING: float = 0.779944
 
 
+def _check_werner(w: np.ndarray) -> None:
+    """Raise unless every entry of ``w`` lies in [0, 1]; NaN never does."""
+    if not np.all((w >= 0.0) & (w <= 1.0)):
+        raise ValueError("Werner parameter must lie in [0, 1]")
+
+
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
     """Binary entropy in bits, with the 0*log(0) = 0 convention."""
     p = np.asarray(p, dtype=float)
@@ -37,8 +43,7 @@ def secret_key_fraction(w):
     Accepts scalars or arrays in ``[0, 1]``; returns the same shape.
     """
     w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
-        raise ValueError("Werner parameter must lie in [0, 1]")
+    _check_werner(w_arr)
     qber = (1.0 - w_arr) / 2.0
     value = np.maximum(0.0, 1.0 - 2.0 * _binary_entropy(qber))
     if np.isscalar(w):
@@ -54,8 +59,7 @@ def secret_key_fraction_derivative(w):
     At ``w == 1`` the derivative diverges; we return ``inf`` there.
     """
     w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
-        raise ValueError("Werner parameter must lie in [0, 1]")
+    _check_werner(w_arr)
     out = np.zeros_like(w_arr)
     active = w_arr > F_SKF_ZERO_CROSSING
     with np.errstate(divide="ignore"):
@@ -76,8 +80,7 @@ def link_capacity(beta, w):
     w_arr = np.asarray(w, dtype=float)
     if np.any(beta_arr <= 0):
         raise ValueError("link beta must be positive")
-    if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
-        raise ValueError("Werner parameter must lie in [0, 1]")
+    _check_werner(w_arr)
     value = beta_arr * (1.0 - w_arr)
     if np.isscalar(beta) and np.isscalar(w):
         return float(value)
@@ -98,8 +101,7 @@ def end_to_end_werner(link_werner, route_links) -> float:
         Iterable of 0-based link indices forming the route.
     """
     w = np.asarray(link_werner, dtype=float)
-    if np.any(w < 0.0) or np.any(w > 1.0):
-        raise ValueError("Werner parameter must lie in [0, 1]")
+    _check_werner(w)
     indices = list(route_links)
     if not indices:
         raise ValueError("a route must contain at least one link")

@@ -1,8 +1,7 @@
 """Campaign runner: persistence, resume, aggregation, byte-identity."""
 
+import dataclasses
 import json
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +15,8 @@ from repro.campaign import (
     resume_campaign,
     run_campaign,
 )
-from repro.campaign.runner import (
-    AGGREGATE_FILENAME,
-    CANONICAL_DIRNAME,
-    MANIFEST_FILENAME,
-)
+from repro.campaign.runner import AGGREGATE_FILENAME, MANIFEST_FILENAME
+from repro.campaign.spec import DEFAULT_CHUNK_SIZE
 from repro.core.config import paper_config
 from repro.faults import FaultPlan, FaultRule
 from repro.io import result_from_dict, result_to_dict
@@ -55,6 +51,15 @@ def counting_fires(run, *seams):
     return result, [counts.get(seam, 0) for seam in seams]
 
 
+def halved_rates(result):
+    """``result`` with its entanglement rates halved: a wrong baseline that
+    changes what a simulation delivers (seeds share φ and w, so another
+    seed's result would not)."""
+    allocation = result.allocation
+    return dataclasses.replace(
+        result, allocation=allocation.with_updates(phi=allocation.phi / 2))
+
+
 def resume_counting_solves(out_dir):
     """Resume ``out_dir``; return the result and how many configs it solved
     (counted by ``worker.solve`` fires)."""
@@ -63,27 +68,10 @@ def resume_counting_solves(out_dir):
     return result, solved
 
 
-def strip_runtimes(payload):
-    """Drop wall-clock fields so two separate solves compare equal."""
-    if isinstance(payload, dict):
-        return {
-            k: strip_runtimes(v) for k, v in payload.items() if k != "runtime_s"
-        }
-    if isinstance(payload, list):
-        return [strip_runtimes(v) for v in payload]
-    return payload
-
-
-def chunk_payloads(out_dir):
-    """The quhe_result payloads of ``out_dir``'s first canonical chunk."""
-    path = out_dir / CANONICAL_DIRNAME / "chunk_00000.json"
-    return json.loads(path.read_text())
-
-
 class TestArtifacts:
     def test_layout(self, spec, completed_dir):
-        assert (completed_dir / MANIFEST_FILENAME).exists()
-        assert (completed_dir / AGGREGATE_FILENAME).exists()
+        assert sorted(p.name for p in completed_dir.iterdir()) == [
+            AGGREGATE_FILENAME, MANIFEST_FILENAME, "cells"]
         for cell in spec.cells():
             cell_dir = completed_dir / "cells" / cell.cell_id
             assert (cell_dir / "record.json").exists()
@@ -113,16 +101,6 @@ class TestArtifacts:
         restored = result_from_dict(payload)
         assert restored.complete
         assert result_to_dict(restored) == payload
-
-    def test_canonical_chunk_holds_the_baseline_solves(self, completed_dir):
-        """The chunk file keeps one quhe_result payload per distinct
-        baseline config, in first-use order: the exact results of solving
-        those configs together (wall-clock fields aside)."""
-        configs = [paper_config(seed=seed) for seed in (2, 3)]
-        fresh = SolverService().solve_many(configs, use_cache=False)
-        assert [strip_runtimes(p) for p in chunk_payloads(completed_dir)] == [
-            strip_runtimes(result_to_dict(r)) for r in fresh
-        ]
 
     def test_mixing_campaigns_in_one_dir_rejected(self, spec, completed_dir):
         other = CampaignSpec(
@@ -195,16 +173,12 @@ class TestAggregation:
 class TestResume:
     def test_kill_and_resume_byte_identical(self, spec, completed_dir, tmp_path):
         """A campaign killed mid-flight and resumed must write the same
-        aggregate bytes as an uninterrupted run, and the resume solves no
-        config: it decodes the intact canonical chunk instead."""
+        aggregate bytes as an uninterrupted run.  The resume solves the
+        2 distinct baselines of its 2 pending cells, and nothing else."""
         killed = tmp_path / "killed"
         partial = CampaignRunner(spec, out_dir=killed).run(max_cells=2)
         assert partial.cells_completed == 2
         assert not partial.complete
-        chunk = json.loads(
-            (killed / CANONICAL_DIRNAME / "chunk_00000.json").read_text()
-        )
-        assert [p["kind"] for p in chunk] == ["quhe_result"] * 2
 
         status = campaign_status(killed)
         assert status.cells_completed == 2
@@ -212,89 +186,91 @@ class TestResume:
 
         resumed, solved = resume_counting_solves(killed)
         assert resumed.complete
-        assert solved == 0
+        assert solved == 2
         assert (killed / AGGREGATE_FILENAME).read_bytes() == (
             completed_dir / AGGREGATE_FILENAME
         ).read_bytes()
 
-    @pytest.mark.parametrize("damage", [
-        "npz", "torn", "empty", "object", "short", "wrong_kind",
-        "future_version", "malformed",
-    ])
-    def test_unreadable_chunk_is_solved_again(
-        self, spec, completed_dir, tmp_path, damage
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
+    def test_aggregate_bytes_equal_across_chunk_sizes(
+        self, spec, completed_dir, tmp_path, chunk_size
     ):
-        """A chunk that does not decode to one quhe_result per config is
-        ignored: the old npz format, a torn or empty file, a JSON object, too
-        few payloads, payloads of another kind or format version, or a
-        payload missing a field.  The resume solves the chunk's configs
-        again, to the same bytes."""
-        out_dir = tmp_path / damage
-        CampaignRunner(spec, out_dir=out_dir).run(max_cells=2)
-        chunk = out_dir / CANONICAL_DIRNAME / "chunk_00000.json"
-        payloads = chunk_payloads(out_dir)
-        if damage == "npz":
-            chunk.unlink()
-            header = {"kind": "solution_batch", "format_version": 1,
-                      "meta": {}}
-            np.savez(chunk.with_suffix(".npz"), objective=np.zeros(2),
-                     __meta__=np.asarray(json.dumps(header)))
-        elif damage == "torn":
-            text = chunk.read_text()
-            chunk.write_text(text[: len(text) // 2])
-        elif damage == "empty":
-            chunk.write_bytes(b"")
-        elif damage == "object":
-            chunk.write_text(json.dumps(dict(zip("ab", payloads))))
-        elif damage == "short":
-            chunk.write_text(json.dumps(payloads[:1]))
-        elif damage == "wrong_kind":
-            stage1 = [result_to_dict(result_from_dict(p).stage1)
-                      for p in payloads]
-            chunk.write_text(json.dumps(stage1))
-        elif damage == "future_version":
-            for p in payloads:
-                p["format_version"] += 1
-            chunk.write_text(json.dumps(payloads))
-        else:
-            del payloads[1]["metrics"]
-            chunk.write_text(json.dumps(payloads))
-
-        resumed, solved = resume_counting_solves(out_dir)
-        assert resumed.complete
-        assert solved == 2
+        """A baseline solves bitwise alike in any batch, so the chunk size
+        (which sets the batches) leaves the aggregate bytes as they are at
+        the default size."""
+        assert spec.chunk_size == DEFAULT_CHUNK_SIZE
+        out_dir = tmp_path / f"chunk-{chunk_size}"
+        sized = dataclasses.replace(spec, chunk_size=chunk_size)
+        assert CampaignRunner(sized, out_dir=out_dir).run().complete
         assert (out_dir / AGGREGATE_FILENAME).read_bytes() == (
             completed_dir / AGGREGATE_FILENAME
         ).read_bytes()
-        assert len(json.loads(chunk.read_text())) == 2
 
-    def test_chunk_file_draws_no_artifact_write_decision(
+    def test_each_baseline_solved_once_per_run(self, tmp_path):
+        """Seeds recur across chunks here (three chunks, two seeds in
+        each); every distinct baseline is solved once in the whole run,
+        counted by ``worker.solve`` fires."""
+        spec = CampaignSpec(
+            name="recur", scenario="sim-keyrate", base={"duration": 4.0},
+            axes={"demand_factor": [0.0, 0.3, 0.6]}, seeds=(2, 3),
+            chunk_size=2,
+        )
+        assert len(spec.chunks()) == 3
+        result, (solved,) = counting_fires(
+            CampaignRunner(spec, out_dir=tmp_path / "recur").run,
+            "worker.solve")
+        assert result.complete
+        assert solved == 2
+
+    def test_stale_service_entry_never_reaches_the_aggregate(
         self, spec, completed_dir, tmp_path
     ):
-        """Neither writing nor reading the chunk file hits the
-        ``artifact.write`` fault seam: a run that finds its chunk on disk
-        makes as many seam draws as one that solves and writes it, so a
-        fault plan makes the same decisions in both."""
-        fresh_dir = tmp_path / "fresh"
-        _, (fresh_draws,) = counting_fires(
-            CampaignRunner(spec, out_dir=fresh_dir).run, "artifact.write")
+        """The shared scenario service may hold a result from an earlier
+        run in this process.  A wrong result primed there for a baseline
+        before the run (its rates halved, which the simulation would
+        deliver) leaves the aggregate bytes unchanged: the runner solves
+        its baselines with the cache disabled."""
+        from repro.api.scenarios import SERVICE
 
-        cached_dir = tmp_path / "cached"
-        (cached_dir / CANONICAL_DIRNAME).mkdir(parents=True)
-        shutil.copy(
-            completed_dir / CANONICAL_DIRNAME / "chunk_00000.json",
-            cached_dir / CANONICAL_DIRNAME,
-        )
-        result, (cached_draws, solved) = counting_fires(
-            CampaignRunner(spec, out_dir=cached_dir).run,
-            "artifact.write", "worker.solve")
-        assert result.complete
-        assert solved == 0
-        assert cached_draws == fresh_draws > 0
-        for out_dir in (fresh_dir, cached_dir):
-            assert (out_dir / AGGREGATE_FILENAME).read_bytes() == (
-                completed_dir / AGGREGATE_FILENAME
-            ).read_bytes()
+        config = paper_config(seed=2)
+        SERVICE.prime(config, halved_rates(SolverService().solve(config)))
+        try:
+            out_dir = tmp_path / "stale"
+            assert CampaignRunner(spec, out_dir=out_dir).run().complete
+        finally:
+            SERVICE.clear_cache()
+        assert (out_dir / AGGREGATE_FILENAME).read_bytes() == (
+            completed_dir / AGGREGATE_FILENAME
+        ).read_bytes()
+
+    def test_directory_of_the_chunk_file_layout_resumes_untouched(
+        self, spec, completed_dir, tmp_path
+    ):
+        """Directories written while the runner kept its baseline solves in
+        ``canonical/chunk_NNNNN.json`` files (and, before that, ``.npz``
+        files) resume to the reference bytes.  The runner never reads,
+        writes or deletes that directory: its chunk file here holds wrong
+        baselines, which would change the aggregate if read."""
+        out_dir = tmp_path / "chunk-layout"
+        CampaignRunner(spec, out_dir=out_dir).run(max_cells=2)
+        canonical = out_dir / "canonical"
+        canonical.mkdir()
+        wrong = SolverService().solve_many(
+            [paper_config(seed=seed) for seed in (2, 3)], use_cache=False)
+        (canonical / "chunk_00000.json").write_text(json.dumps(
+            [result_to_dict(halved_rates(r)) for r in wrong]))
+        header = {"kind": "solution_batch", "format_version": 1, "meta": {}}
+        np.savez(canonical / "chunk_00000.npz", objective=np.zeros(2),
+                 __meta__=np.asarray(json.dumps(header)))
+        before = {p.name: p.read_bytes() for p in canonical.iterdir()}
+        assert sorted(before) == ["chunk_00000.json", "chunk_00000.npz"]
+
+        resumed = resume_campaign(out_dir)
+        assert resumed.complete
+        assert {p.name: p.read_bytes() for p in canonical.iterdir()} == before
+        assert (out_dir / AGGREGATE_FILENAME).read_bytes() == (
+            completed_dir / AGGREGATE_FILENAME
+        ).read_bytes()
 
     def test_resume_legacy_directory_with_backend_keys(
         self, spec, completed_dir, tmp_path

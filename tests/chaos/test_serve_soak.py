@@ -53,9 +53,8 @@ class TestCrashStormSoak:
     ):
         """Crash+hang storm with retrying clients: nothing is lost.
 
-        ``distinct=1, coalesce=False, use_cache=False`` pins batch
-        composition (so the byte-identity verification stays valid) while
-        forcing every request through the worker pool.
+        ``distinct=1, coalesce=False, use_cache=False`` forces every
+        request through the worker pool.
 
         The storm fires on a fixed batch, not within a time window: each
         seed's plan spares a fresh worker's first batch and fires on its

@@ -106,15 +106,25 @@ class TestBatchShapes:
         )
 
     def test_k1_equals_k64_member(self, typical_cfg):
-        """A config solves identically alone and inside a large batch."""
+        """A config solves bitwise alike alone and inside a large batch:
+        objective, every allocation array, T, the objective history and
+        the outer iteration count.  Campaign resume byte-identity rests on
+        this (``repro.campaign.runner``)."""
         grid = np.linspace(0.5e7, 1.5e7, 64)
         cfgs = [typical_cfg.with_total_bandwidth(float(v)) for v in grid]
         full = solve_batch(cfgs)
-        lone = solve_batch([cfgs[31]])[0]
-        assert lone.objective == pytest.approx(
-            full[31].objective, abs=OBJECTIVE_TOL
-        )
-        assert np.array_equal(lone.allocation.lam, full[31].allocation.lam)
+        for i in (0, 17, 31, 63):
+            lone = solve_batch([cfgs[i]])[0]
+            member = full[i]
+            assert lone.objective == member.objective, i
+            for field in ("phi", "w", "lam", "p", "b", "f_c", "f_s"):
+                assert np.array_equal(
+                    getattr(lone.allocation, field),
+                    getattr(member.allocation, field),
+                ), (i, field)
+            assert lone.allocation.T == member.allocation.T, i
+            assert lone.objective_history == member.objective_history, i
+            assert lone.outer_iterations == member.outer_iterations, i
 
 
 class TestMixedTopologies:

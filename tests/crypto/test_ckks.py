@@ -171,14 +171,9 @@ class TestParameters:
             assert divisor == pytest.approx(ckks.scale, rel=0.01)
 
     def test_ntt_chain_is_prime_product(self, ckks):
-        import os
-
         from repro.crypto.ntt import is_ntt_friendly
 
-        forced_reference = (
-            os.environ.get("QUHE_CRYPTO_BACKEND", "").lower() == "reference"
-        )
-        assert ckks.backend == ("reference" if forced_reference else "rns")
+        assert ckks.backend == "rns"
         assert ckks.chain_primes is not None
         for p in ckks.chain_primes + ckks.aux_primes:
             assert is_ntt_friendly(p, ckks.n)

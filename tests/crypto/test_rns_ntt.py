@@ -31,13 +31,6 @@ from repro.crypto.poly import PolyRing
 from repro.crypto.rns import RNSPolyRing, get_ring
 
 
-@pytest.fixture(autouse=True)
-def _unforced_backend(monkeypatch):
-    """These tests exercise both backends explicitly — neutralize the
-    QUHE_CRYPTO_BACKEND override so they stay deterministic under it."""
-    monkeypatch.delenv("QUHE_CRYPTO_BACKEND", raising=False)
-
-
 def schoolbook_negacyclic(a, b, n, q):
     out = [0] * n
     for i, x in enumerate(a):
@@ -276,21 +269,6 @@ class TestBackendSelection:
     def test_rings_are_cached(self):
         degree, primes = CHAIN_SHAPES[1]
         assert get_ring(degree, primes=primes) is get_ring(degree, primes=primes)
-
-    def test_env_var_forces_reference(self, monkeypatch):
-        degree, primes = CHAIN_SHAPES[0]
-        monkeypatch.setenv("QUHE_CRYPTO_BACKEND", "reference")
-        assert isinstance(get_ring(degree, primes=primes), PolyRing)
-
-    def test_explicit_rns_context_overrides_env(self, monkeypatch):
-        # The env var steers "auto" only; an explicit backend="rns" request
-        # is a hard requirement.
-        monkeypatch.setenv("QUHE_CRYPTO_BACKEND", "reference")
-        ctx = CKKSContext(ring_degree=16, depth=1, seed=1, backend="rns")
-        assert ctx.backend == "rns"
-        assert isinstance(ctx.ring(0), RNSPolyRing)
-        bfv = BFVContext(ring_degree=16, plaintext_modulus=257, seed=1, backend="rns")
-        assert bfv.backend == "rns"
 
     def test_explicit_rns_requires_friendly_primes(self):
         with pytest.raises(ValueError):

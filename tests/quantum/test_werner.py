@@ -12,6 +12,13 @@ from repro.quantum.werner import (
     secret_key_fraction_derivative,
 )
 
+#: Werner inputs holding a NaN: every range comparison with NaN is false,
+#: so a check written as "below 0 or above 1" lets them through.
+NAN_INPUTS = pytest.mark.parametrize(
+    "w", [np.nan, np.array([np.nan, 0.9]), np.array([0.9, np.nan])],
+    ids=["scalar", "array-first", "array-last"],
+)
+
 
 class TestSecretKeyFraction:
     def test_perfect_pair_yields_full_fraction(self):
@@ -47,6 +54,11 @@ class TestSecretKeyFraction:
         with pytest.raises(ValueError):
             secret_key_fraction(-0.1)
 
+    @NAN_INPUTS
+    def test_rejects_nan(self, w):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            secret_key_fraction(w)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_bounded_between_zero_and_one(self, w):
         assert 0.0 <= secret_key_fraction(w) <= 1.0
@@ -76,6 +88,11 @@ class TestDerivative:
     def test_infinite_at_one(self):
         assert np.isinf(secret_key_fraction_derivative(1.0))
 
+    @NAN_INPUTS
+    def test_rejects_nan(self, w):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            secret_key_fraction_derivative(w)
+
 
 class TestLinkCapacity:
     def test_eq3_formula(self):
@@ -87,6 +104,11 @@ class TestLinkCapacity:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             link_capacity(0.0, 0.5)
+
+    @NAN_INPUTS
+    def test_rejects_nan_werner(self, w):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            link_capacity(50.0, w)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
@@ -112,6 +134,10 @@ class TestEndToEndWerner:
     def test_empty_route_rejected(self):
         with pytest.raises(ValueError):
             end_to_end_werner([0.9], [])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            end_to_end_werner(np.array([np.nan, 0.5]), [0, 1])
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=8))
     def test_swapping_never_improves_fidelity(self, ws):

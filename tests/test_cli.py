@@ -1,5 +1,11 @@
 """Tests for the experiment CLI (python -m repro ...)."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import faults
@@ -98,3 +104,36 @@ class TestCLIFailurePaths:
     def test_faultfree_run_still_exits_0(self, capsys):
         assert main(["solve", "--seed", "2"]) == 0
         assert "converged=True" in capsys.readouterr().out
+
+
+class TestServeSignals:
+    def test_sigint_drains_when_inherited_as_ignored(self, tmp_path):
+        """A daemon started with SIGINT ignored, as a background job of a
+        non-interactive shell is, still drains on SIGINT and exits 0."""
+        from repro.serve import ServeRequest, request_once
+
+        sock = str(tmp_path / "daemon.sock")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop(faults.ENV_VAR, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert "listening on" in proc.stderr.readline()
+            # Answered only once the daemon's loop runs, which is after its
+            # signal handlers are installed.
+            request_once(
+                ServeRequest(id="ping", op="ping"), socket_path=sock
+            ).raise_for_error()
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert "drained, shut down" in stderr
